@@ -39,8 +39,13 @@ class ScoringScheme:
     gap_penalty: float = -0.5
 
     def __post_init__(self) -> None:
-        if not self.gap_penalty < self.match_bonus:
-            raise ValueError("gap_penalty must be smaller than match_bonus")
+        # a positive gap penalty would make all-gap alignments profitable
+        if not self.gap_penalty <= 0:
+            raise ValueError("gap_penalty must be <= 0")
+        if not self.match_bonus > 0:
+            raise ValueError("match_bonus must be > 0")
+        if not self.mismatch_penalty <= self.match_bonus:
+            raise ValueError("mismatch_penalty must be <= match_bonus")
 
 
 DEFAULT_SCHEME = ScoringScheme()

@@ -16,18 +16,12 @@ from pathlib import Path
 from luxnorm import __version__
 from luxnorm.align import GAP, ScoringScheme, align_triple
 from luxnorm.checklist import default_suite_path, load_suite, render_report, run_suite
-from luxnorm.config import DEFAULT_SEED, build_config, effective_workers
+from luxnorm.config import DEFAULT_SEED, RunConfig, build_config, effective_workers
 from luxnorm.corrupt import CorpusStats, iter_corrupted
-from luxnorm.dictionary import build_reverse_index, load_dictionary
+from luxnorm.dictionary import load_dictionary
 from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError
-from luxnorm.experiment import StageError, read_lines, run_experiment
+from luxnorm.experiment import StageError, build_normalizer, read_lines, run_experiment
 from luxnorm.metrics import evaluate_sentences
-from luxnorm.normalize import (
-    Pipeline,
-    PipelineConfig,
-    load_lexicon,
-    run_external_normalizer,
-)
 from luxnorm.tokenizer import tokenize
 
 EXIT_OK = 0
@@ -175,20 +169,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    dictionary = load_dictionary(args.dictionary)
-    lexicon = load_lexicon(args.lexicon)
-    pipeline = Pipeline(
-        build_reverse_index(dictionary),
-        lexicon,
-        PipelineConfig(
-            weights=args.weights,
-            max_edit_distance=args.max_edit_distance,
-            ngram_n=args.ngram_n,
-            topk=args.topk,
-        ),
-    )
+    keys = ("dictionary", "lexicon", "weights", "max_edit_distance", "ngram_n", "topk", "workers")
+    normalizer = build_normalizer(RunConfig(**{key: getattr(args, key) for key in keys}))
     lines = read_lines(args.input)
-    outputs = pipeline.normalize_lines(lines, workers=effective_workers(args.workers))
+    outputs = normalizer(lines)
     args.out.write_text("".join(line + "\n" for line in outputs), encoding="utf-8")
     print(f"normalized {len(lines)} sentences")
     return EXIT_OK
@@ -271,23 +255,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_checklist(args: argparse.Namespace) -> int:
     suite = load_suite(args.suite if args.suite is not None else default_suite_path())
-    if args.normalizer == "pipeline":
-        if args.dictionary is None or args.lexicon is None:
-            raise ConfigError("the pipeline normalizer requires --dict and --lexicon")
-        dictionary = load_dictionary(args.dictionary)
-        lexicon = load_lexicon(args.lexicon)
-        pipeline = Pipeline(
-            build_reverse_index(dictionary), lexicon, PipelineConfig(weights=args.weights)
-        )
-        workers = effective_workers(args.workers)
-        normalizer = lambda sentences: pipeline.normalize_lines(sentences, workers=workers)
-    elif args.normalizer == "identity":
-        normalizer = lambda sentences: list(sentences)
-    elif args.normalizer.startswith("cmd:"):
-        command = args.normalizer[len("cmd:"):]
-        normalizer = lambda sentences: run_external_normalizer(command, sentences)
-    else:
-        raise ConfigError(f"unknown normalizer {args.normalizer!r}")
+    if args.normalizer == "pipeline" and (args.dictionary is None or args.lexicon is None):
+        raise ConfigError("the pipeline normalizer requires --dict and --lexicon")
+    keys = ("normalizer", "dictionary", "lexicon", "weights", "workers")
+    normalizer = build_normalizer(RunConfig(**{key: getattr(args, key) for key in keys}))
     report = run_suite(normalizer, suite)
     rendered = render_report(report, args.format)
     if args.report is not None:

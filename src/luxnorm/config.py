@@ -7,6 +7,7 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from luxnorm.align import ScoringScheme
 from luxnorm.errors import ConfigError
 
 DEFAULT_SEED = 42
@@ -68,13 +69,10 @@ def load_config_file(path: str | Path) -> dict:
     return raw
 
 
-def build_config(
-    overrides: dict, config_file: str | Path | None = None, require: tuple[str, ...] = ()
-) -> RunConfig:
+def build_config(overrides: dict, config_file: str | Path | None = None) -> RunConfig:
     """Merge defaults, config-file values, and CLI overrides (flags win).
 
-    Validation errors name the offending key. `require` lists keys that
-    must end up set (e.g. the synth command requires a dictionary).
+    Validation errors name the offending key.
     """
     values: dict = {}
     if config_file is not None:
@@ -97,9 +95,6 @@ def build_config(
             raise ConfigError("weights: expected four non-negative numbers")
         values["weights"] = weights
     config = RunConfig(**values)
-    for key in require:
-        if getattr(config, key) is None:
-            raise ConfigError(f"missing required option {key!r}")
     for key in _PATH_KEYS:
         value = getattr(config, key)
         if value is not None and not value.exists():
@@ -108,8 +103,10 @@ def build_config(
         raise ConfigError("workers must be >= 1")
     if config.seed < 0 or config.seed > 2**64 - 1:
         raise ConfigError("seed must fit in 64 bits")
-    if not config.gap_penalty < config.match_bonus:
-        raise ConfigError("gap_penalty must be smaller than match_bonus")
+    try:
+        ScoringScheme(config.match_bonus, config.mismatch_penalty, config.gap_penalty)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return config
 
 

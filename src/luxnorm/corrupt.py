@@ -56,12 +56,6 @@ class CorpusStats:
         self.total_changed += pair.changed_tokens
         self.total_tokens += pair.token_count
 
-    def merge(self, other: "CorpusStats") -> None:
-        self.pair_count += other.pair_count
-        self.total_changed += other.total_changed
-        self.total_tokens += other.total_tokens
-        self.skipped_blank_lines += other.skipped_blank_lines
-
     @property
     def mean_changed_tokens(self) -> Fraction:
         if self.pair_count == 0:

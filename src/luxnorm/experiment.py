@@ -18,7 +18,7 @@ from luxnorm.align import ScoringScheme
 from luxnorm.checklist import SuiteReport, load_suite, render_report, run_suite
 from luxnorm.config import RunConfig, effective_workers
 from luxnorm.dictionary import build_reverse_index, load_dictionary
-from luxnorm.errors import LuxnormError
+from luxnorm.errors import ConfigError, LuxnormError
 from luxnorm.metrics import MetricsReport, evaluate_sentences
 from luxnorm.normalize import (
     Pipeline,
@@ -57,12 +57,6 @@ class ExperimentReport:
             "suite": self.suite.to_dict(),
         }
 
-    def canonical_dict(self) -> dict:
-        """Report content without volatile fields, for determinism checks."""
-        data = self.to_dict()
-        data.pop("timestamp")
-        return data
-
 
 def file_checksum(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -85,7 +79,7 @@ def build_normalizer(config: RunConfig):
         command = config.normalizer[len("cmd:"):]
         return lambda sentences: run_external_normalizer(command, sentences)
     if config.normalizer != "pipeline":
-        raise LuxnormError(f"unknown normalizer {config.normalizer!r}")
+        raise ConfigError(f"unknown normalizer {config.normalizer!r}")
     dictionary = load_dictionary(config.dictionary)
     lexicon = load_lexicon(config.lexicon)
     pipeline = Pipeline(

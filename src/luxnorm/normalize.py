@@ -16,7 +16,6 @@ import shlex
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -318,15 +317,13 @@ def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> list
 class PipelineConfig:
     """Scoring weights and candidate-generation settings.
 
-    weights are (variant, edit, ngram, frequency); ranker_weight is a
-    reserved slot for a future context-sensitive ranker and is unused.
+    weights are (variant, edit, ngram, frequency).
     """
 
     weights: tuple[float, float, float, float] = (0.4, 0.2, 0.2, 0.2)
     max_edit_distance: int = 2
     ngram_n: int = 3
     topk: int = 10
-    ranker_weight: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.weights) != 4 or any(w < 0 for w in self.weights):
@@ -436,17 +433,50 @@ class Pipeline:
         return detokenize(output)
 
     def normalize_lines(self, lines: Sequence[str], workers: int = 1) -> list[str]:
-        """Normalize a batch of sentences, optionally across processes."""
-        if workers <= 1:
-            return [self.normalize_sentence(line) for line in lines]
-        job = partial(_normalize_one, self)
-        chunksize = max(1, len(lines) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, lines, chunksize=chunksize))
+        """Normalize a batch of sentences, optionally across processes.
+
+        With workers > 1 the batch's distinct unknown cores go to a process
+        pool, where each worker receives the pipeline once; their results
+        fill the token cache, from which the lines are rebuilt. Output is
+        the same for any worker count.
+        """
+        if workers > 1:
+            cores = {
+                split_clitic(token)[1]
+                for line in lines
+                for token in tokenize(line)
+                if not is_punctuation(token)
+            }
+            types = sorted(
+                core
+                for core in cores
+                if core and core not in self._token_cache and not self.lexicon.contains_folded(core)
+            )
+            if types:
+                if self.config.max_edit_distance == 2:
+                    # built before the pool starts, so workers inherit or receive it once
+                    self.lexicon.deletes_index()
+                workers = min(workers, len(types))
+                chunksize = max(1, len(types) // (workers * 4))
+                with ProcessPoolExecutor(
+                    workers, initializer=_install_pipeline, initargs=(self,)
+                ) as pool:
+                    results = pool.map(_normalize_type, types, chunksize=chunksize)
+                    self._token_cache.update(zip(types, results))
+        return [self.normalize_sentence(line) for line in lines]
 
 
-def _normalize_one(pipeline: Pipeline, line: str) -> str:
-    return pipeline.normalize_sentence(line)
+# the pipeline of a pool worker process, set once by the pool initializer
+_worker_pipeline: Pipeline | None = None
+
+
+def _install_pipeline(pipeline: Pipeline) -> None:
+    global _worker_pipeline
+    _worker_pipeline = pipeline
+
+
+def _normalize_type(token: str) -> str:
+    return _worker_pipeline.normalize_token(token)
 
 
 def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[str]) -> list[str]:

@@ -182,5 +182,11 @@ class TestAlignTriple:
 
 
 def test_scheme_rejects_gap_penalty_above_match():
-    with pytest.raises(ValueError):
-        ScoringScheme(match_bonus=0.5, gap_penalty=0.6)
+    for kwargs in (
+        {"match_bonus": 0.5, "gap_penalty": 0.6},
+        {"gap_penalty": 0.9},
+        {"mismatch_penalty": 2.0},
+        {"match_bonus": 0.0, "gap_penalty": -0.5},
+    ):
+        with pytest.raises(ValueError):
+            ScoringScheme(**kwargs)

@@ -331,6 +331,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="weights"):
             build_config({"weights": [0.5, 0.5]})
 
+    def test_degenerate_scheme_names_key(self):
+        for key, value in (("gap_penalty", 0.9), ("mismatch_penalty", 2.0), ("match_bonus", 0.0)):
+            with pytest.raises(ConfigError, match=key):
+                build_config({key: value})
+
     def test_thread_cap(self, monkeypatch):
         monkeypatch.setenv("LUXNORM_THREADS", "2")
         assert effective_workers(8) == 2

@@ -285,6 +285,30 @@ class TestNormalizeSentence:
         assert pipeline.normalize_sentence(sentence) == sentence
 
 
+class TestNormalizeLines:
+    # repeated unknown types, clitics, punctuation, title case, a hyphen
+    BATCH = [
+        "d'Bischt ass gut, Mellech!",
+        "l'Bischt an gut ( Millech ) ?",
+        "Mellech gu-t Bischt.",
+        "",
+    ]
+
+    @staticmethod
+    def serial(lines: list[str]) -> list[str]:
+        pipeline = build_pipeline()
+        return [pipeline.normalize_sentence(line) for line in lines]
+
+    def test_two_workers_match_serial(self):
+        pipeline = build_pipeline()
+        assert pipeline.normalize_lines(self.BATCH, workers=2) == self.serial(self.BATCH)
+        overlapping = self.BATCH[1:] + ["gut Drénk, l'Mellechs!"]
+        assert pipeline.normalize_lines(overlapping, workers=2) == self.serial(overlapping)
+
+    def test_empty_batch(self):
+        assert build_pipeline().normalize_lines([], workers=2) == []
+
+
 IDENTITY_CMD = [sys.executable, "-c", "import sys; sys.stdout.write(sys.stdin.read())"]
 
 
