@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 from luxnorm.align import GAP, ScoringScheme, needleman_wunsch
 from luxnorm.errors import ParseError
+from luxnorm.metrics import nfc
 from luxnorm.tokenizer import detokenize, tokenize
 
 logger = logging.getLogger(__name__)
@@ -246,10 +247,6 @@ def _canonical(sentence: str) -> str:
     return unicodedata.normalize("NFC", " ".join(sentence.split()))
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
-
-
 def _correct_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
     """Judge one CORRECT unit; returns (success, collateral edit count).
 
@@ -267,10 +264,10 @@ def _correct_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
         if in_token is not GAP:
             position += 1
             if position == unit.target_index:
-                if isinstance(out_token, str) and _nfc(out_token) == _nfc(unit.expected):
+                if isinstance(out_token, str) and nfc(out_token) == nfc(unit.expected):
                     success = True
                 continue
-        if in_token is GAP or out_token is GAP or _nfc(in_token) != _nfc(out_token):
+        if in_token is GAP or out_token is GAP or nfc(in_token) != nfc(out_token):
             collateral += 1
     return success, collateral
 

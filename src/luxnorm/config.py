@@ -9,6 +9,7 @@ from pathlib import Path
 
 from luxnorm.align import ScoringScheme
 from luxnorm.errors import ConfigError
+from luxnorm.normalize import PipelineConfig
 
 DEFAULT_SEED = 42
 DEFAULT_WEIGHTS = (0.4, 0.2, 0.2, 0.2)
@@ -90,10 +91,10 @@ def build_config(overrides: dict, config_file: str | Path | None = None) -> RunC
     if "output_dir" in values:
         values["output_dir"] = Path(values["output_dir"])
     if "weights" in values:
-        weights = tuple(float(w) for w in values["weights"])
-        if len(weights) != 4 or any(w < 0 for w in weights):
-            raise ConfigError("weights: expected four non-negative numbers")
-        values["weights"] = weights
+        try:
+            values["weights"] = tuple(float(w) for w in values["weights"])
+        except (TypeError, ValueError):
+            raise ConfigError("weights must be four non-negative numbers") from None
     config = RunConfig(**values)
     for key in _PATH_KEYS:
         value = getattr(config, key)
@@ -105,6 +106,7 @@ def build_config(overrides: dict, config_file: str | Path | None = None) -> RunC
         raise ConfigError("seed must fit in 64 bits")
     try:
         ScoringScheme(config.match_bonus, config.mismatch_penalty, config.gap_penalty)
+        PipelineConfig(config.weights, config.max_edit_distance, config.ngram_n, config.topk)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return config

@@ -29,8 +29,8 @@ class Judgment(Enum):
     TN = "tn"
 
 
-def _nfc(token: object) -> object:
-    # GAP passes through: it compares unequal to every string.
+def nfc(token: object) -> object:
+    """NFC form of a token; GAP passes through, unequal to every string."""
     if isinstance(token, str):
         return unicodedata.normalize("NFC", token)
     return token
@@ -49,9 +49,9 @@ def classify_columns(
     """
     judgments: list[Judgment] = []
     for original, predicted, gold in triple.columns:
-        original = _nfc(original)
-        predicted = _nfc(predicted)
-        gold = _nfc(gold)
+        original = nfc(original)
+        predicted = nfc(predicted)
+        gold = nfc(gold)
         if gold != original:
             if predicted == gold:
                 judgments.append(Judgment.TP)

@@ -1,8 +1,8 @@
 """Pipeline normalization: candidate generation, scoring, and selection.
 
 Candidates for an unknown token come from three routes: reverse lookup in
-the variant dictionary, a Norvig-style edit-distance neighborhood over the
-lexicon, and character-n-gram tf-idf cosine similarity. Route scores are
+the variant dictionary, lexicon words within two single-character edits,
+and character-n-gram tf-idf cosine similarity. Route scores are
 combined linearly; known-correct tokens are never touched.
 
 External normalizers plug in through a line protocol: one sentence per
@@ -52,16 +52,15 @@ class Lexicon:
         for word, count in counts.items():
             key = word.casefold()
             self._fold_counts[key] = self._fold_counts.get(key, 0) + count
-        self._max_count = max(counts.values()) if counts else 1
         self._max_fold_count = max(self._fold_counts.values()) if counts else 1
         self._deletes_index: dict[str, list[str]] | None = None
 
     def deletes_index(self) -> dict[str, list[str]]:
         """Map every <=2-character deletion of every form back to the forms.
 
-        Built lazily; used to shortlist distance-2 edit candidates without
-        enumerating the full two-edit neighborhood of a query token. Two
-        strings within two single edits always share a <=2-deletion.
+        Built lazily; used to shortlist edit candidates without enumerating
+        the two-edit neighborhood of a query token. Two strings within two
+        single edits always share a <=2-deletion.
         """
         if self._deletes_index is None:
             index: dict[str, list[str]] = {}
@@ -92,9 +91,6 @@ class Lexicon:
         """Total count across all casings of `word`."""
         return self._fold_counts.get(word.casefold(), 0)
 
-    def relative_frequency(self, word: str) -> float:
-        return self._counts.get(word, 0) / self._max_count
-
     def relative_frequency_folded(self, word: str) -> float:
         """Case-insensitive relative frequency in [0, 1].
 
@@ -103,9 +99,6 @@ class Lexicon:
         word) is credited with the word's real frequency.
         """
         return self._fold_counts.get(word.casefold(), 0) / self._max_fold_count
-
-    def items(self):
-        return self._counts.items()
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -200,16 +193,6 @@ class NgramIndex:
                 vec[gram] = vec.get(gram, 0.0) + idf
         return vec
 
-    def similarity(self, a: str, b: str) -> float:
-        """Cosine between two words' profiles under the index weights."""
-        va, vb = self.vector(a), self.vector(b)
-        dot = sum(weight * vb.get(gram, 0.0) for gram, weight in va.items())
-        na = math.sqrt(sum(w * w for w in va.values()))
-        nb = math.sqrt(sum(w * w for w in vb.values()))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return dot / (na * nb)
-
     def rank(self, token: str, k: int) -> list[tuple[str, float]]:
         """Top-k positive-similarity lexicon words for `token`.
 
@@ -242,19 +225,6 @@ def ngram_candidates(token: str, index: NgramIndex, k: int) -> list[Candidate]:
     ]
 
 
-def _iter_edits1(word: str, alphabet: str = LUX_ALPHABET):
-    splits = [(word[:i], word[i:]) for i in range(len(word) + 1)]
-    for left, right in splits:
-        if right:
-            yield left + right[1:]  # delete
-        if len(right) > 1:
-            yield left + right[1] + right[0] + right[2:]  # transpose
-        for ch in alphabet:
-            if right:
-                yield left + ch + right[1:]  # replace
-            yield left + ch + right  # insert
-
-
 def _deletes_up_to_two(word: str) -> set[str]:
     ones = {word[:i] + word[i + 1:] for i in range(len(word))}
     twos = {v[:i] + v[i + 1:] for v in ones for i in range(len(v))}
@@ -262,6 +232,44 @@ def _deletes_up_to_two(word: str) -> set[str]:
 
 
 _ALPHABET_SET = frozenset(LUX_ALPHABET)
+
+
+def _within_edits(token: str, form: str, budget: int) -> bool:
+    """True if at most `budget` (<= 2) single edits turn `token` into `form`.
+
+    Deletions and adjacent transpositions may touch any character;
+    insertions and substitutions write only alphabet characters. Edits
+    compose freely (unrestricted Damerau-Levenshtein), so a character can
+    be edited twice. After the common prefix is stripped, some edit changes
+    the first differing position: either the first edit makes it right, or
+    a delete or transpose just behind it lets a second transpose make it
+    right (`2Ab` -> `2b` -> `b2`, `aa-` -> `a-a` -> `-aa`).
+    """
+    start = 0
+    while start < len(token) and start < len(form) and token[start] == form[start]:
+        start += 1
+    token, form = token[start:], form[start:]
+    if token == form:
+        return True
+    if budget == 0:
+        return False
+    rest = budget - 1
+    if token and _within_edits(token[1:], form, rest):  # delete
+        return True
+    if form and form[0] in _ALPHABET_SET:
+        if _within_edits(token, form[1:], rest):  # insert
+            return True
+        if token and _within_edits(token[1:], form[1:], rest):  # substitute
+            return True
+    if len(token) > 1 and token[1] == form[:1]:
+        if _within_edits(token[0] + token[2:], form[1:], rest):  # transpose
+            return True
+    if rest and len(token) > 2:
+        # delete token[1] or transpose token[1:3], then transpose token[0] forward
+        return _within_edits(token[2] + token[0] + token[3:], form, rest - 1) or _within_edits(
+            token[2] + token[0] + token[1] + token[3:], form, rest - 1
+        )
+    return False
 
 
 def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> list[Candidate]:
@@ -272,41 +280,24 @@ def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> list
     reported at its smallest distance; closer candidates score higher
     (1 / (1 + distance)).
 
-    Distance 2 is found with a deletion-neighborhood shortlist instead of
-    enumerating the two-edit neighborhood (which is quadratic in alphabet
-    size); shortlisted words are then verified by forward edit generation.
+    Words within two edits of the token share a <=2-character deletion
+    with it, so the lexicon's deletes index shortlists them for any
+    token; each shortlisted word is then checked by `_within_edits`.
     """
     if not token:
         raise ValueError("cannot generate candidates for an empty token")
     if max_distance not in (1, 2):
         raise ValueError("max_distance must be 1 or 2")
+    index = lexicon.deletes_index()
+    shortlist: set[str] = set()
+    for variant in _deletes_up_to_two(token):
+        shortlist.update(index.get(variant, ()))
     found: dict[str, int] = {}
-    if token in lexicon:
-        found[token] = 0
-    edits1 = set(_iter_edits1(token))
-    for form in edits1:
-        if form in lexicon and form not in found:
-            found[form] = 1
-    if max_distance == 2:
-        if _ALPHABET_SET.issuperset(token):
-            # On alphabet-only strings the single-edit relation is
-            # symmetric, so w is two edits from the token iff their
-            # one-edit neighborhoods intersect. Words using characters
-            # outside the alphabet cannot be produced by these edits.
-            index = lexicon.deletes_index()
-            shortlist: set[str] = set()
-            for variant in _deletes_up_to_two(token):
-                shortlist.update(index.get(variant, ()))
-            for form in sorted(shortlist):
-                if form in found or not _ALPHABET_SET.issuperset(form):
-                    continue
-                if any(edit in edits1 for edit in _iter_edits1(form)):
-                    found[form] = 2
-        else:
-            for intermediate in edits1:
-                for form in _iter_edits1(intermediate):
-                    if form in lexicon and form not in found:
-                        found[form] = 2
+    for form in shortlist:
+        for distance in range(max_distance + 1):
+            if _within_edits(token, form, distance):
+                found[form] = distance
+                break
     return [
         Candidate(form=form, source=f"edit{distance}", score=1.0 / (1 + distance), distance=distance)
         for form, distance in sorted(found.items(), key=lambda item: (item[1], item[0]))
@@ -328,6 +319,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if len(self.weights) != 4 or any(w < 0 for w in self.weights):
             raise ValueError("weights must be four non-negative numbers")
+        if self.max_edit_distance not in (1, 2):
+            raise ValueError("max_edit_distance must be 1 or 2")
+        if not (isinstance(self.ngram_n, int) and self.ngram_n >= 1):
+            raise ValueError("ngram_n must be an integer >= 1")
+        if not (isinstance(self.topk, int) and self.topk >= 0):
+            raise ValueError("topk must be an integer >= 0")
 
 
 class Pipeline:
@@ -453,9 +450,8 @@ class Pipeline:
                 if core and core not in self._token_cache and not self.lexicon.contains_folded(core)
             )
             if types:
-                if self.config.max_edit_distance == 2:
-                    # built before the pool starts, so workers inherit or receive it once
-                    self.lexicon.deletes_index()
+                # built before the pool starts, so workers inherit or receive it once
+                self.lexicon.deletes_index()
                 workers = min(workers, len(types))
                 chunksize = max(1, len(types) // (workers * 4))
                 with ProcessPoolExecutor(

@@ -64,10 +64,47 @@ def damerau_levenshtein(a: str, b: str) -> int:
     return d[la + 1][lb + 1]
 
 
+def edits1(word: str, alphabet: str) -> set[str]:
+    """Every string one edit from `word`.
+
+    Deletions and adjacent transpositions may touch any character;
+    insertions and substitutions write characters of `alphabet` only.
+    """
+    out: set[str] = set()
+    for i in range(len(word) + 1):
+        left, right = word[:i], word[i:]
+        if right:
+            out.add(left + right[1:])
+        if len(right) > 1:
+            out.add(left + right[1] + right[0] + right[2:])
+        for ch in alphabet:
+            if right:
+                out.add(left + ch + right[1:])
+            out.add(left + ch + right)
+    return out
+
+
+def neighborhood_distances(token: str, max_distance: int, alphabet: str) -> dict[str, int]:
+    """Every string within `max_distance` edits of `token`, at its smallest
+    distance, by enumerating the neighborhood ring by ring."""
+    found = {token: 0}
+    ring = {token}
+    for distance in range(1, max_distance + 1):
+        ring = set().union(*(edits1(word, alphabet) for word in ring))
+        for word in ring:
+            found.setdefault(word, distance)
+    return found
+
+
+@lru_cache(maxsize=4096)
+def _similarity(x: str, y: str) -> float:
+    return 1.0 if x == y else 1.0 - levenshtein_recursive(x, y) / max(len(x), len(y))
+
+
 def _pair_score(x: object, y: object, scheme: ScoringScheme) -> float:
     if x is GAP or y is GAP:
         return scheme.gap_penalty
-    sim = 1.0 if x == y else 1.0 - levenshtein_recursive(x, y) / max(len(x), len(y))
+    sim = _similarity(x, y)
     return scheme.mismatch_penalty + (scheme.match_bonus - scheme.mismatch_penalty) * sim
 
 

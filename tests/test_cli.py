@@ -304,6 +304,15 @@ class TestRunCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["metrics"]["err"] == 1.0
 
+    def test_invalid_pipeline_setting_is_config_error(self, workspace, tmp_path):
+        # rejected before any stage runs, even when --pred bypasses normalization
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"max_edit_distance": 3}))
+        out_dir = tmp_path / "out"
+        extra = ("--config", str(config_file), "--pred", str(workspace["gold"]))
+        assert self.run_once(workspace, out_dir, extra=extra) == EXIT_CONFIG
+        assert not (out_dir / "report.json").exists()
+
 
 class TestConfig:
     def test_unknown_file_key_rejected(self, tmp_path):
@@ -333,6 +342,19 @@ class TestConfig:
 
     def test_degenerate_scheme_names_key(self):
         for key, value in (("gap_penalty", 0.9), ("mismatch_penalty", 2.0), ("match_bonus", 0.0)):
+            with pytest.raises(ConfigError, match=key):
+                build_config({key: value})
+
+    def test_bad_pipeline_setting_names_key(self):
+        for key, value in (
+            ("max_edit_distance", 3),
+            ("max_edit_distance", 0),
+            ("ngram_n", 0),
+            ("ngram_n", "3"),
+            ("topk", -1),
+            ("weights", [0.4, -0.2, 0.4, 0.4]),
+            ("weights", "abcd"),
+        ):
             with pytest.raises(ConfigError, match=key):
                 build_config({key: value})
 

@@ -4,13 +4,14 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dictionary
 from luxnorm.dictionary import build_reverse_index
 from luxnorm.errors import ParseError, ProtocolError
 from luxnorm.normalize import (
+    LUX_ALPHABET,
     Candidate,
     Lexicon,
     NgramIndex,
@@ -22,7 +23,7 @@ from luxnorm.normalize import (
     read_predictions,
     run_external_normalizer,
 )
-from oracles import damerau_levenshtein
+from oracles import damerau_levenshtein, neighborhood_distances
 
 
 def reference_tfidf_cosine(lexicon_words: list[str], a: str, b: str, n: int = 3) -> float:
@@ -67,10 +68,12 @@ class TestLexicon:
         assert not lexicon.contains_folded("Béier")
 
     def test_relative_frequency(self):
-        lexicon = Lexicon({"a": 10, "b": 5})
-        assert lexicon.relative_frequency("a") == 1.0
-        assert lexicon.relative_frequency("b") == 0.5
-        assert lexicon.relative_frequency("zz") == 0.0
+        # casings pool their counts: haus 8 + 2 = 10 is the maximum
+        lexicon = Lexicon({"Haus": 8, "haus": 2, "Bam": 5})
+        assert lexicon.relative_frequency_folded("HAUS") == 1.0
+        assert lexicon.relative_frequency_folded("haus") == 1.0
+        assert lexicon.relative_frequency_folded("bam") == 0.5
+        assert lexicon.relative_frequency_folded("zz") == 0.0
 
     def test_load_lexicon(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -84,6 +87,38 @@ class TestLexicon:
         path.write_text("Haus\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_lexicon(path)
+
+
+# letters of LUX_ALPHABET plus characters that may only be deleted or moved
+EDIT_CHARS = "aäbA-2'"
+
+
+@st.composite
+def _near_words(draw, token: str) -> list[str]:
+    """Random words plus up-to-three-edit mutants of `token`; mutants may
+    write any character, so some are close but unreachable."""
+    words = draw(st.lists(st.text(alphabet=EDIT_CHARS, min_size=1, max_size=7), max_size=8))
+    for _ in range(draw(st.integers(0, 8))):
+        word = token
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(word)))
+            ch = draw(st.sampled_from(EDIT_CHARS))
+            op = draw(st.sampled_from(["delete", "insert", "substitute", "transpose"]))
+            if op == "delete":
+                word = word[:i] + word[i + 1:]
+            elif op == "insert":
+                word = word[:i] + ch + word[i:]
+            elif op == "substitute":
+                word = word[:i] + ch + word[i + 1:]
+            elif i + 1 < len(word):
+                word = word[:i] + word[i + 1] + word[i] + word[i + 2:]
+        words.append(word)
+    return [w for w in words if w] or [token]
+
+
+_EDIT_CASES = st.text(alphabet=EDIT_CHARS, min_size=1, max_size=6).flatmap(
+    lambda token: st.tuples(st.just(token), _near_words(token))
+)
 
 
 class TestEditCandidates:
@@ -140,6 +175,33 @@ class TestEditCandidates:
         }
         assert got == want
 
+    @given(_EDIT_CASES, st.sampled_from([1, 2]))
+    @settings(max_examples=150, deadline=None)
+    @example(("2Ab", ["b2"]), 2)
+    @example(("aa-", ["-aa"]), 2)
+    @example(("-bc", ["bc-", "bc"]), 2)
+    @example(
+        ("2024-10-17", ["2024-10-17", "2024-1017", "2024-01-71", "20241017", "2024-10-18", "2024-10"]),
+        2,
+    )
+    def test_matches_neighborhood_enumeration(self, case, max_distance):
+        token, words = case
+        lexicon = Lexicon({w: 1 for w in words})
+        # Only alphabet letters that occur in some lexicon word need to be
+        # inserted or substituted: within two edits, a written character
+        # absent from the word must be undone by the second edit (deleted
+        # or overwritten), and the pair collapses to at most one edit that
+        # writes no such character.
+        alphabet = "".join(sorted(set("".join(lexicon)) & set(LUX_ALPHABET)))
+        reachable = neighborhood_distances(token, max_distance, alphabet)
+        got = {c.form: c.distance for c in edit_candidates(token, lexicon, max_distance)}
+        assert got == {w: reachable[w] for w in lexicon if w in reachable}
+
+    def test_non_alphabet_character_is_never_inserted(self):
+        lexicon = Lexicon({"E-Mail": 1})
+        assert edit_candidates("EMail", lexicon, 2) == []
+        assert edit_candidates("E-Mal", lexicon, 2) == [Candidate("E-Mail", "edit1", 0.5, 1)]
+
 
 class TestNgramIndex:
     LEXICON = ["Biischt", "Bascht", "Wuert"]
@@ -150,7 +212,6 @@ class TestNgramIndex:
     def test_self_similarity_is_one(self):
         index = self.make_index()
         for word in self.LEXICON:
-            assert index.similarity(word, word) == pytest.approx(1.0, abs=1e-9)
             assert index.rank(word, 3)[0] == (word, pytest.approx(1.0, abs=1e-9))
 
     def test_k_zero_is_empty(self):
@@ -166,17 +227,26 @@ class TestNgramIndex:
         assert ranked[2][1] == pytest.approx(0.064115, abs=1e-6)
 
     def test_matches_reference_implementation(self):
+        # a word that rank omits must have reference cosine 0
         index = self.make_index()
         for token in ["Bischt", "Biischt", "Wuert", "Brascht", "xyz"]:
+            ranked = dict(index.rank(token, len(self.LEXICON)))
             for word in self.LEXICON:
-                assert index.similarity(token, word) == pytest.approx(
+                assert ranked.get(word, 0.0) == pytest.approx(
                     reference_tfidf_cosine(sorted(self.LEXICON), token, word), abs=1e-9
                 )
 
     def test_rank_scores_match_similarity(self):
+        # a truncated ranking keeps the k words of highest reference cosine
         index = self.make_index()
-        for form, score in index.rank("Bascht", 3):
-            assert score == pytest.approx(index.similarity("Bascht", form), abs=1e-9)
+        reference = sorted(
+            ((reference_tfidf_cosine(sorted(self.LEXICON), "Bascht", w), w) for w in self.LEXICON),
+            reverse=True,
+        )
+        ranked = index.rank("Bascht", 2)
+        assert [form for form, _ in ranked] == [w for _, w in reference[:2]]
+        for (form, score), (cosine, _) in zip(ranked, reference):
+            assert score == pytest.approx(cosine, abs=1e-9)
 
     def test_tie_breaks_by_frequency_then_form(self):
         # ab/ac/ad all share exactly the boundary gram with the query and
