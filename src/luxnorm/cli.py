@@ -16,7 +16,7 @@ from pathlib import Path
 from luxnorm import __version__
 from luxnorm.align import GAP, ScoringScheme, align_triple
 from luxnorm.checklist import default_suite_path, load_suite, render_report, run_suite
-from luxnorm.config import DEFAULT_SEED, RunConfig, build_config, effective_workers
+from luxnorm.config import DEFAULT_SEED, build_config, effective_workers
 from luxnorm.corrupt import CorpusStats, iter_corrupted
 from luxnorm.dictionary import load_dictionary
 from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError
@@ -38,12 +38,9 @@ def _parse_weights(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected four comma-separated weights v,e,n,f")
     try:
-        weights = tuple(float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"weights are not numbers: {text!r}") from None
-    if any(w < 0 for w in weights):
-        raise argparse.ArgumentTypeError("weights must be non-negative")
-    return weights
 
 
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
@@ -170,7 +167,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     keys = ("dictionary", "lexicon", "weights", "max_edit_distance", "ngram_n", "topk", "workers")
-    normalizer = build_normalizer(RunConfig(**{key: getattr(args, key) for key in keys}))
+    normalizer = build_normalizer(build_config({key: getattr(args, key) for key in keys}))
     lines = read_lines(args.input)
     outputs = normalizer(lines)
     args.out.write_text("".join(line + "\n" for line in outputs), encoding="utf-8")
@@ -258,7 +255,7 @@ def _cmd_checklist(args: argparse.Namespace) -> int:
     if args.normalizer == "pipeline" and (args.dictionary is None or args.lexicon is None):
         raise ConfigError("the pipeline normalizer requires --dict and --lexicon")
     keys = ("normalizer", "dictionary", "lexicon", "weights", "workers")
-    normalizer = build_normalizer(RunConfig(**{key: getattr(args, key) for key in keys}))
+    normalizer = build_normalizer(build_config({key: getattr(args, key) for key in keys}))
     report = run_suite(normalizer, suite)
     rendered = render_report(report, args.format)
     if args.report is not None:

@@ -2,7 +2,8 @@
 
 Candidates for an unknown token come from three routes: reverse lookup in
 the variant dictionary, lexicon words within two single-character edits,
-and character-n-gram tf-idf cosine similarity. Route scores are
+and character-n-gram tf-idf cosine similarity. Each candidate form carries
+one score component per route plus its frequency, and the components are
 combined linearly; known-correct tokens are never touched.
 
 External normalizers plug in through a line protocol: one sentence per
@@ -132,16 +133,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(counts)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One correction candidate with its route and route-local score."""
-
-    form: str
-    source: str  # variant_index | edit0 | edit1 | edit2 | ngram
-    score: float
-    distance: int | None = None
-
-
 def _ngrams(word: str, n: int) -> list[str]:
     padded = _PAD_START * (n - 1) + word + _PAD_END * (n - 1)
     return [padded[i : i + n] for i in range(len(padded) - n + 1)]
@@ -217,12 +208,9 @@ class NgramIndex:
         return scored[:k]
 
 
-def ngram_candidates(token: str, index: NgramIndex, k: int) -> list[Candidate]:
-    """Top-k fuzzy matches by character-n-gram cosine."""
-    return [
-        Candidate(form=word, source="ngram", score=sim)
-        for word, sim in index.rank(token, k)
-    ]
+def ngram_candidates(token: str, index: NgramIndex, k: int) -> list[tuple[str, float]]:
+    """Top-k fuzzy matches by character-n-gram cosine, as (form, cosine)."""
+    return index.rank(token, k)
 
 
 def _deletes_up_to_two(word: str) -> set[str]:
@@ -272,13 +260,12 @@ def _within_edits(token: str, form: str, budget: int) -> bool:
     return False
 
 
-def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> list[Candidate]:
+def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> dict[str, int]:
     """All lexicon words reachable by <= max_distance single-character edits.
 
     Single edits are deletions, insertions, substitutions over the
-    Luxembourgish alphabet, and adjacent transpositions. Each word is
-    reported at its smallest distance; closer candidates score higher
-    (1 / (1 + distance)).
+    Luxembourgish alphabet, and adjacent transpositions. Each word maps to
+    its smallest distance, in (distance, word) order.
 
     Words within two edits of the token share a <=2-character deletion
     with it, so the lexicon's deletes index shortlists them for any
@@ -298,10 +285,7 @@ def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> list
             if _within_edits(token, form, distance):
                 found[form] = distance
                 break
-    return [
-        Candidate(form=form, source=f"edit{distance}", score=1.0 / (1 + distance), distance=distance)
-        for form, distance in sorted(found.items(), key=lambda item: (item[1], item[0]))
-    ]
+    return dict(sorted(found.items(), key=lambda item: (item[1], item[0])))
 
 
 @dataclass(frozen=True)
@@ -343,28 +327,32 @@ class Pipeline:
         self.ngram_index = ngram_index or NgramIndex(lexicon, self.config.ngram_n)
         self._token_cache: dict[str, str] = {}
 
-    def _variant_candidates(self, token: str) -> list[Candidate]:
+    def candidates(self, token: str) -> dict[str, list[float]]:
+        """Each candidate form for an unknown token mapped to its score
+        components [variant, edit, ngram, frequency], 0 where a route misses
+        the form; a route that offers a form twice keeps the larger score."""
         entries = self.reverse_index.lookup(token)
-        restore_case = False
-        if not entries:
+        restore_case = not entries
+        if restore_case:
             entries = self.reverse_index.lookup_folded(token)
-            restore_case = True
-        if not entries:
-            return []
         total = sum(count for _, count in entries)
-        candidates = []
-        for lemma, count in entries:
-            form = apply_case_pattern(token, lemma) if restore_case else lemma
-            candidates.append(
-                Candidate(form=form, source="variant_index", score=count / total)
-            )
-        return candidates
-
-    def candidates(self, token: str) -> list[Candidate]:
-        """The pooled candidate list for one unknown token."""
-        pool = self._variant_candidates(token)
-        pool.extend(edit_candidates(token, self.lexicon, self.config.max_edit_distance))
-        pool.extend(ngram_candidates(token, self.ngram_index, self.config.topk))
+        edits = edit_candidates(token, self.lexicon, self.config.max_edit_distance)
+        routes = (
+            [
+                (apply_case_pattern(token, lemma) if restore_case else lemma, count / total)
+                for lemma, count in entries
+            ],
+            [(form, 1.0 / (1 + distance)) for form, distance in edits.items()],
+            ngram_candidates(token, self.ngram_index, self.config.topk),
+        )
+        pool: dict[str, list[float]] = {}
+        for route, hits in enumerate(routes):
+            for form, score in hits:
+                components = pool.get(form)
+                if components is None:
+                    frequency = self.lexicon.relative_frequency_folded(form)
+                    components = pool[form] = [0.0, 0.0, 0.0, frequency]
+                components[route] = max(components[route], score)
         return pool
 
     def normalize_token(self, token: str) -> str:
@@ -373,7 +361,8 @@ class Pipeline:
         Lexicon members (exact or case-folded) are left as-is. Otherwise
         the candidate pool is scored with
         w_v*variant_prob + w_e*edit_proximity + w_n*ngram_cosine + w_f*rel_freq
-        and ties break by lexicon frequency, then edit distance, then form.
+        and ties break by lexicon frequency, then edit distance (read from
+        the edit component, 0 for forms off the edit route), then form.
         """
         cached = self._token_cache.get(token)
         if cached is not None:
@@ -385,35 +374,17 @@ class Pipeline:
     def _normalize_token(self, token: str) -> str:
         if self.lexicon.contains_folded(token):
             return token
-        merged: dict[str, list[float]] = {}
-        distances: dict[str, int] = {}
-        for candidate in self.candidates(token):
-            components = merged.setdefault(candidate.form, [0.0, 0.0, 0.0, 0.0])
-            if candidate.source == "variant_index":
-                components[0] = max(components[0], candidate.score)
-            elif candidate.source.startswith("edit"):
-                components[1] = max(components[1], candidate.score)
-                distances[candidate.form] = candidate.distance
-            else:
-                components[2] = max(components[2], candidate.score)
-            components[3] = self.lexicon.relative_frequency_folded(candidate.form)
-        if not merged:
+        pool = self.candidates(token)
+        if not pool:
             return token
         wv, we, wn, wf = self.config.weights
 
         def sort_key(form: str):
-            components = merged[form]
-            combined = (
-                wv * components[0] + we * components[1] + wn * components[2] + wf * components[3]
-            )
-            return (
-                -combined,
-                -self.lexicon.count_folded(form),
-                distances.get(form, self.config.max_edit_distance + 1),
-                form,
-            )
+            variant, edit, ngram, frequency = pool[form]
+            combined = wv * variant + we * edit + wn * ngram + wf * frequency
+            return (-combined, -self.lexicon.count_folded(form), -edit, form)
 
-        return min(merged, key=sort_key)
+        return min(pool, key=sort_key)
 
     def normalize_sentence(self, sentence: str) -> str:
         """Normalize token by token; punctuation and clitics are preserved."""

@@ -139,30 +139,33 @@ def _column_score(x: object, y: object, z: object, scheme: ScoringScheme) -> flo
     )
 
 
-def enumerate_triple_alignments(o, p, g):
-    """Yield every 3-way alignment as column lists. Explodes fast."""
-    if not o and not p and not g:
-        yield []
-        return
-    for mo, mp, mg in (
-        (1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    ):
-        if (mo and not o) or (mp and not p) or (mg and not g):
-            continue
-        column = (
-            o[0] if mo else GAP,
-            p[0] if mp else GAP,
-            g[0] if mg else GAP,
-        )
-        for rest in enumerate_triple_alignments(o[mo:], p[mp:], g[mg:]):
-            yield [column] + rest
-
-
 def brute_force_triple_value(o, p, g, scheme: ScoringScheme) -> float:
-    return max(
-        sum(_column_score(x, y, z, scheme) for x, y, z in cols)
-        for cols in enumerate_triple_alignments(tuple(o), tuple(p), tuple(g))
-    )
+    """Best 3-way alignment value over every alignment. Explodes fast.
+
+    Walks each alignment column by column, carrying its running column
+    sum (the same left-to-right sum as scoring a finished column list),
+    and keeps the best total; nothing is memoized.
+    """
+    o, p, g = tuple(o), tuple(p), tuple(g)
+
+    def walk(i: int, j: int, k: int, total: float) -> float:
+        if i == len(o) and j == len(p) and k == len(g):
+            return total
+        best = float("-inf")
+        for mo, mp, mg in (
+            (1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+        ):
+            if i + mo > len(o) or j + mp > len(p) or k + mg > len(g):
+                continue
+            x = o[i] if mo else GAP
+            y = p[j] if mp else GAP
+            z = g[k] if mg else GAP
+            value = walk(i + mo, j + mp, k + mg, total + _column_score(x, y, z, scheme))
+            if value > best:
+                best = value
+        return best
+
+    return walk(0, 0, 0, 0)
 
 
 def best_triple_value(o, p, g, scheme: ScoringScheme) -> float:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luxnorm.align import (
@@ -24,6 +24,14 @@ SCHEME = ScoringScheme()
 
 tokens = st.text(alphabet="abë", min_size=1, max_size=4)
 token_lists = st.lists(tokens, max_size=4)
+
+
+@st.composite
+def accepted_schemes(draw) -> ScoringScheme:
+    """Any scheme the constructor accepts, with magnitudes up to 1e3."""
+    match_bonus = draw(st.floats(1e-3, 1e3))
+    mismatch_penalty = draw(st.floats(-1e3, match_bonus))
+    return ScoringScheme(match_bonus, mismatch_penalty, draw(st.floats(-1e3, 0.0)))
 
 
 class TestLevenshtein:
@@ -112,6 +120,16 @@ class TestAlignTriple:
         result = align_triple(seq, seq, seq, SCHEME)
         assert result.columns == tuple((t, t, t) for t in seq)
         assert result.score == 9.0
+
+    @given(st.lists(tokens, max_size=8), accepted_schemes())
+    @settings(max_examples=60, deadline=None)
+    @example(["a", "b", "a"], ScoringScheme(gap_penalty=0.0))
+    @example(["a", "b", "a"], ScoringScheme(mismatch_penalty=1.0))
+    @example(["ab", "b", "ab", "ë"], ScoringScheme(mismatch_penalty=1.0, gap_penalty=0.0))
+    def test_identical_triples_align_diagonally(self, seq, scheme):
+        result = align_triple(seq, seq, seq, scheme)
+        assert len(result.columns) == len(seq)
+        assert result.columns == tuple((t, t, t) for t in seq)
 
     def test_empty_middle_sequence(self):
         result = align_triple(["a"], [], ["a"], SCHEME)

@@ -358,6 +358,22 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 build_config({key: value})
 
+    def test_pipeline_subcommand_flags_are_validated(self, workspace, tmp_path):
+        # normalize and checklist build their configuration like run does
+        inputs = ["--dict", str(workspace["dict"]), "--lexicon", str(workspace["lexicon"])]
+        normalize = ["normalize", "--in", str(workspace["orig"]), "--out", str(tmp_path / "o.txt")]
+        missing = ["--dict", str(tmp_path / "absent.tsv"), "--lexicon", str(workspace["lexicon"])]
+        for argv in (
+            normalize + inputs + ["--topk", "-1"],
+            normalize + inputs + ["--ngram-n", "0"],
+            normalize + inputs + ["--workers", "0"],
+            normalize + inputs + ["--weights=-1,0,0,0"],
+            normalize + missing,
+            ["checklist", *inputs, "--workers", "0"],
+            ["checklist", *missing],
+        ):
+            assert main(argv) == EXIT_CONFIG, argv
+
     def test_thread_cap(self, monkeypatch):
         monkeypatch.setenv("LUXNORM_THREADS", "2")
         assert effective_workers(8) == 2

@@ -12,7 +12,6 @@ from luxnorm.dictionary import build_reverse_index
 from luxnorm.errors import ParseError, ProtocolError
 from luxnorm.normalize import (
     LUX_ALPHABET,
-    Candidate,
     Lexicon,
     NgramIndex,
     Pipeline,
@@ -121,39 +120,50 @@ _EDIT_CASES = st.text(alphabet=EDIT_CHARS, min_size=1, max_size=6).flatmap(
 )
 
 
+def no_variant_pipeline(lexicon: Lexicon, **config_kwargs) -> Pipeline:
+    """A pipeline whose variant dictionary is empty."""
+    return Pipeline(
+        build_reverse_index(make_dictionary({})), lexicon, PipelineConfig(**config_kwargs)
+    )
+
+
+def edit_components(token: str, lexicon: Lexicon, max_distance: int) -> dict[str, float]:
+    """The edit component of every form in a pool where only the edit
+    route runs (no variant dictionary entries, top-0 n-grams)."""
+    pipeline = no_variant_pipeline(lexicon, max_edit_distance=max_distance, topk=0)
+    return {form: components[1] for form, components in pipeline.candidates(token).items()}
+
+
 class TestEditCandidates:
     def test_both_lexicon_neighbors_found(self):
         lexicon = Lexicon({"iessen": 3, "eisen": 2, "ganz": 9})
-        forms = {c.form: c.distance for c in edit_candidates("iesen", lexicon, 2)}
+        forms = edit_candidates("iesen", lexicon, 2)
         assert forms["iessen"] == 1
         assert forms["eisen"] == 1
         assert "ganz" not in forms
 
     def test_token_in_lexicon_is_distance_zero(self):
         lexicon = Lexicon({"haus": 1})
-        candidates = edit_candidates("haus", lexicon, 1)
-        assert candidates[0] == Candidate("haus", "edit0", 1.0, 0)
+        assert edit_candidates("haus", lexicon, 1) == {"haus": 0}
+        assert edit_components("haus", lexicon, 1) == {"haus": 1.0}
 
     def test_no_neighbors_is_empty(self):
-        assert edit_candidates("zzzz", Lexicon({"abc": 1}), 1) == []
+        assert edit_candidates("zzzz", Lexicon({"abc": 1}), 1) == {}
 
     def test_distance_one_outranks_distance_two(self):
         lexicon = Lexicon({"ab": 1, "abcd": 1})
-        candidates = edit_candidates("abc", lexicon, 2)
-        scores = {c.form: c.score for c in candidates}
+        scores = edit_components("abc", lexicon, 2)
         assert scores["ab"] == scores["abcd"] == 0.5
 
     def test_transposition_is_one_edit(self):
         lexicon = Lexicon({"ab": 1})
-        forms = {c.form: c.distance for c in edit_candidates("ba", lexicon, 1)}
-        assert forms == {"ab": 1}
+        assert edit_candidates("ba", lexicon, 1) == {"ab": 1}
 
     def test_unrestricted_composition_of_two_edits(self):
         # transpose then insert: 2 edits, although the restricted
         # (optimal-string-alignment) distance would be 3
         lexicon = Lexicon({"abc": 1})
-        forms = {c.form: c.distance for c in edit_candidates("ca", lexicon, 2)}
-        assert forms == {"abc": 2}
+        assert edit_candidates("ca", lexicon, 2) == {"abc": 2}
 
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError):
@@ -167,7 +177,7 @@ class TestEditCandidates:
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_distance_filter(self, token, words, max_distance):
         lexicon = Lexicon({w: 1 for w in words}) if words else Lexicon({"q": 1})
-        got = {c.form: c.distance for c in edit_candidates(token, lexicon, max_distance)}
+        got = edit_candidates(token, lexicon, max_distance)
         want = {
             w: damerau_levenshtein(token, w)
             for w in lexicon
@@ -194,13 +204,14 @@ class TestEditCandidates:
         # writes no such character.
         alphabet = "".join(sorted(set("".join(lexicon)) & set(LUX_ALPHABET)))
         reachable = neighborhood_distances(token, max_distance, alphabet)
-        got = {c.form: c.distance for c in edit_candidates(token, lexicon, max_distance)}
+        got = edit_candidates(token, lexicon, max_distance)
         assert got == {w: reachable[w] for w in lexicon if w in reachable}
 
     def test_non_alphabet_character_is_never_inserted(self):
         lexicon = Lexicon({"E-Mail": 1})
-        assert edit_candidates("EMail", lexicon, 2) == []
-        assert edit_candidates("E-Mal", lexicon, 2) == [Candidate("E-Mail", "edit1", 0.5, 1)]
+        assert edit_candidates("EMail", lexicon, 2) == {}
+        assert edit_candidates("E-Mal", lexicon, 2) == {"E-Mail": 1}
+        assert edit_components("E-Mal", lexicon, 2) == {"E-Mail": 0.5}
 
 
 class TestNgramIndex:
@@ -271,6 +282,32 @@ def build_pipeline(**config_kwargs) -> Pipeline:
         lexicon,
         PipelineConfig(**config_kwargs) if config_kwargs else None,
     )
+
+
+class TestCandidatePool:
+    def test_form_on_two_routes_is_one_entry(self):
+        # Bischt reaches Biischt and Bascht by one edit and all three
+        # words by n-grams: five route hits, three forms
+        lexicon = Lexicon({"Biischt": 3, "Bascht": 2, "Wuert": 5})
+        pool = no_variant_pipeline(lexicon).candidates("Bischt")
+        assert sorted(pool) == ["Bascht", "Biischt", "Wuert"]
+        assert pool["Biischt"] == [0.0, 0.5, pytest.approx(0.836546, abs=1e-6), 0.6]
+        assert pool["Wuert"] == [0.0, 0.0, pytest.approx(0.064115, abs=1e-6), 1.0]
+
+    def test_variant_component_joins_the_same_entry(self):
+        pool = build_pipeline().candidates("Bischt")
+        assert pool["Biischt"][:2] == [1.0, 0.5]
+
+    def test_tie_breaks_by_smaller_edit_distance(self):
+        # frequency weight only, equal counts, no n-gram route: abd and
+        # abcde tie on score and count; abd is one edit away, abcde two
+        lexicon = Lexicon({"abcde": 1, "abd": 1})
+        pipeline = no_variant_pipeline(lexicon, weights=(0.0, 0.0, 0.0, 1.0), topk=0)
+        assert pipeline.candidates("abc") == {
+            "abd": [0.0, 0.5, 0.0, 1.0],
+            "abcde": [0.0, pytest.approx(1 / 3), 0.0, 1.0],
+        }
+        assert pipeline.normalize_token("abc") == "abd"
 
 
 class TestNormalizeToken:
