@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from luxnorm.align import GAP, ScoringScheme, needleman_wunsch
 from luxnorm.errors import ParseError
 from luxnorm.metrics import nfc
-from luxnorm.tokenizer import detokenize, tokenize
+from luxnorm.tokenizer import splice, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -59,8 +59,9 @@ class TestUnit:
         if self.setup is Setup.PRESERVE:
             return self.sentence
         tokens = tokenize(self.sentence)
-        tokens[self.target_index] = self.expected
-        return detokenize(tokens)
+        gold = list(tokens)
+        gold[self.target_index] = self.expected
+        return splice(self.sentence, tokens, gold)
 
 
 @dataclass

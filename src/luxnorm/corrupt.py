@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Sequence
 from luxnorm.dictionary import VariantDictionary
 from luxnorm.tokenizer import (
     apply_case_pattern,
-    detokenize,
     is_punctuation,
+    splice,
     split_clitic,
     tokenize,
 )
@@ -131,7 +131,7 @@ def corrupt_sentence(
         if replacement != token:
             changed += 1
     return SentencePair(
-        source=detokenize(corrupted),
+        source=splice(sentence, tokens, corrupted),
         target=sentence,
         changed_tokens=changed,
         token_count=len(tokens),

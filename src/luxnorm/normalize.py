@@ -24,8 +24,8 @@ from luxnorm.dictionary import ReverseIndex
 from luxnorm.errors import ParseError, ProtocolError
 from luxnorm.tokenizer import (
     apply_case_pattern,
-    detokenize,
     is_punctuation,
+    splice,
     split_clitic,
     tokenize,
 )
@@ -388,8 +388,9 @@ class Pipeline:
 
     def normalize_sentence(self, sentence: str) -> str:
         """Normalize token by token; punctuation and clitics are preserved."""
+        tokens = tokenize(sentence)
         output: list[str] = []
-        for token in tokenize(sentence):
+        for token in tokens:
             if is_punctuation(token):
                 output.append(token)
                 continue
@@ -398,7 +399,7 @@ class Pipeline:
                 output.append(token)
                 continue
             output.append(prefix + self.normalize_token(core))
-        return detokenize(output)
+        return splice(sentence, tokens, output)
 
     def normalize_lines(self, lines: Sequence[str], workers: int = 1) -> list[str]:
         """Normalize a batch of sentences, optionally across processes.

@@ -11,51 +11,38 @@ import re
 
 # Punctuation detached from token edges. Everything else (hyphens,
 # apostrophes, ellipses) stays inside the token.
-PUNCT_CHARS = frozenset('.,!?;:„“"()')
-
-# Attach to the preceding token when re-joining; „ and ( attach forward.
-_CLOSING = frozenset('.,!?;:)“"')
-_OPENING = frozenset("(„")
+PUNCT = '.,!?;:„“"()'
+PUNCT_CHARS = frozenset(PUNCT)
 
 _CLITIC_RE = re.compile(r"^([dDlLmMtTzZ]')(?=.)")
 
+# one punctuation mark, or a whitespace-free run that starts and ends
+# outside the punctuation set
+_P = re.escape(PUNCT)
+_TOKEN_RE = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
+
 
 def tokenize(sentence: str) -> list[str]:
-    """Split on whitespace, then peel punctuation off both token edges."""
-    tokens: list[str] = []
-    for chunk in sentence.split():
-        leading: list[str] = []
-        while chunk and chunk[0] in PUNCT_CHARS:
-            leading.append(chunk[0])
-            chunk = chunk[1:]
-        trailing: list[str] = []
-        while chunk and chunk[-1] in PUNCT_CHARS:
-            trailing.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(leading)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trailing))
-    return tokens
+    """Split on whitespace and peel punctuation off both token edges."""
+    return _TOKEN_RE.findall(sentence)
 
 
-def detokenize(tokens: list[str]) -> str:
-    """Re-join tokens, re-attaching punctuation to its neighbor.
+def splice(sentence: str, tokens: list[str], replacements: list[str]) -> str:
+    """Rewrite `sentence` with each of its `tokens` replaced in place.
 
-    Produces a canonical spacing: single spaces between words, closing
-    punctuation glued to the left, opening punctuation glued to the right.
+    `tokens` must be `tokenize(sentence)`. Only whitespace lies between
+    consecutive tokens, so each is found where it stands, and every
+    character outside the tokens is kept as written.
     """
     parts: list[str] = []
-    glue_next = False
-    for token in tokens:
-        if not parts:
-            parts.append(token)
-        elif glue_next or token in _CLOSING:
-            parts[-1] += token
-        else:
-            parts.append(token)
-        glue_next = token in _OPENING
-    return " ".join(parts)
+    end = 0
+    for token, replacement in zip(tokens, replacements, strict=True):
+        start = sentence.index(token, end)
+        parts.append(sentence[end:start])
+        parts.append(replacement)
+        end = start + len(token)
+    parts.append(sentence[end:])
+    return "".join(parts)
 
 
 def is_punctuation(token: str) -> bool:

@@ -11,6 +11,26 @@ from functools import lru_cache
 from luxnorm.align import GAP, ScoringScheme
 
 
+def reference_tokenize(sentence: str) -> list[str]:
+    """Split on whitespace, then peel punctuation off both chunk edges."""
+    punct = frozenset('.,!?;:„“"()')
+    tokens: list[str] = []
+    for chunk in sentence.split():
+        leading: list[str] = []
+        while chunk and chunk[0] in punct:
+            leading.append(chunk[0])
+            chunk = chunk[1:]
+        trailing: list[str] = []
+        while chunk and chunk[-1] in punct:
+            trailing.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(leading)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trailing))
+    return tokens
+
+
 def levenshtein_recursive(a: str, b: str) -> int:
     """Textbook recursive edit distance; exponential, short strings only."""
     if not a:
@@ -168,52 +188,37 @@ def brute_force_triple_value(o, p, g, scheme: ScoringScheme) -> float:
     return walk(0, 0, 0, 0)
 
 
-def best_triple_value(o, p, g, scheme: ScoringScheme) -> float:
+def triple_value_oracle(scheme: ScoringScheme):
     """Optimal 3-way alignment value by memoized top-down recursion.
 
-    Mathematically the same maximum as brute_force_triple_value (it maxes
-    over the first column choice and recurses on the remainder) but fast
-    enough to sweep large input spaces.
+    Returns a function of three token tuples. It takes the same maximum as
+    brute_force_triple_value (it maxes over the first column choice and
+    recurses on the remainder, with the same column sums) but is fast
+    enough to sweep large input spaces: values are memoized on the
+    suffixes left to align, so triples that share suffixes share work
+    across calls. Free the memo with the returned function's cache_clear().
     """
-    o = tuple(o)
-    p = tuple(p)
-    g = tuple(g)
-    gp = scheme.gap_penalty
-
-    def sim(x: str, y: str) -> float:
-        if x == y:
-            return 1.0
-        return 1.0 - levenshtein_recursive(x, y) / max(len(x), len(y))
-
-    span = scheme.match_bonus - scheme.mismatch_penalty
-    base = scheme.mismatch_penalty
 
     @lru_cache(maxsize=None)
-    def pscore(x: object, y: object) -> float:
-        if x is GAP or y is GAP:
-            return gp
-        return base + span * sim(x, y)
+    def column(x: object, y: object, z: object) -> float:
+        return _column_score(x, y, z, scheme)
 
     @lru_cache(maxsize=None)
-    def rec(i: int, j: int, k: int) -> float:
-        if i == len(o) and j == len(p) and k == len(g):
+    def value(o: tuple, p: tuple, g: tuple) -> float:
+        if not o and not p and not g:
             return 0.0
         best = float("-inf")
         for mo, mp, mg in (
             (1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1),
         ):
-            ni, nj, nk = i + mo, j + mp, k + mg
-            if ni > len(o) or nj > len(p) or nk > len(g):
+            if mo > len(o) or mp > len(p) or mg > len(g):
                 continue
-            x = o[i] if mo else GAP
-            y = p[j] if mp else GAP
-            z = g[k] if mg else GAP
-            cand = pscore(x, y) + pscore(x, z) + pscore(y, z) + rec(ni, nj, nk)
+            x = o[0] if mo else GAP
+            y = p[0] if mp else GAP
+            z = g[0] if mg else GAP
+            cand = column(x, y, z) + value(o[mo:], p[mp:], g[mg:])
             if cand > best:
                 best = cand
         return best
 
-    result = rec(0, 0, 0)
-    rec.cache_clear()
-    pscore.cache_clear()
-    return result
+    return value

@@ -10,6 +10,7 @@ from luxnorm.checklist import (
     Setup,
     SuiteReport,
     TestSuite,
+    TestUnit,
     default_suite_path,
     load_suite,
     render_report,
@@ -97,6 +98,10 @@ class TestLoadSuite:
         unit = suite.select(Setup.CORRECT, "Quantity Rule")[0]
         assert "d'Biischt" in unit.gold_sentence()
         assert "d'Bischt" not in unit.gold_sentence()
+
+    def test_gold_sentence_keeps_unit_spacing(self):
+        unit = TestUnit(1, "Cat", Setup.CORRECT, 'Hien huet  "Mellech" , gell', 3, "Mëllech")
+        assert unit.gold_sentence() == 'Hien huet  "Mëllech" , gell'
 
 
 class TestRunSetups:

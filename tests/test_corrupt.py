@@ -61,6 +61,12 @@ class TestCorruptSentence:
         assert pair.source == "vläicht muer"
         assert pair.changed_tokens == 0
 
+    def test_unchanged_sentence_keeps_input_bytes(self):
+        dictionary = make_dictionary({"x": {"y": 1}})
+        pair = corrupt_sentence('ar "gutt" !', dictionary, random.Random(9))
+        assert pair.changed_tokens == 0
+        assert pair.source == pair.target == 'ar "gutt" !'
+
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
             corrupt_sentence("  ", make_dictionary({"a": {"b": 1}}), random.Random(0))

@@ -366,9 +366,21 @@ class TestNormalizeSentence:
 
     def test_punctuation_untouched(self):
         pipeline = build_pipeline()
-        # punctuation tokens survive; spacing comes out canonical
-        assert pipeline.normalize_sentence("( Mellech , gutt )") == "(Mëllech, gutt)"
+        # punctuation tokens survive, and so does the spacing around them
+        assert pipeline.normalize_sentence("( Mellech , gutt )") == "( Mëllech , gutt )"
         assert pipeline.normalize_sentence("Mellech!") == "Mëllech!"
+
+    @pytest.mark.parametrize("sentence", ['gesot "Moien"', "Hallo , Welt", "a  b\tc"])
+    def test_known_words_keep_input_bytes(self, sentence):
+        lexicon = Lexicon({word: 1 for word in ("gesot", "Moien", "Hallo", "Welt", "a", "b", "c")})
+        pipeline = Pipeline(build_reverse_index(make_dictionary({})), lexicon)
+        assert pipeline.normalize_sentence(sentence) == sentence
+
+    def test_quotes_stay_put_around_a_correction(self):
+        dictionary = make_dictionary({"Mëllech": {"Mellech": 1}})
+        lexicon = Lexicon({"gesot": 1, "Mëllech": 1})
+        pipeline = Pipeline(build_reverse_index(dictionary), lexicon)
+        assert pipeline.normalize_sentence('gesot "Mellech"') == 'gesot "Mëllech"'
 
     def test_token_count_preserved(self):
         from luxnorm.tokenizer import tokenize

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luxnorm.tokenizer import (
+    PUNCT,
     apply_case_pattern,
-    detokenize,
     is_punctuation,
+    splice,
     split_clitic,
     tokenize,
 )
+from oracles import reference_tokenize
 
 
 class TestTokenize:
@@ -42,32 +44,49 @@ class TestTokenize:
         assert tokenize("Nord-Süd Linn") == ["Nord-Süd", "Linn"]
 
 
-class TestDetokenize:
+# letters, every punctuation mark, in-word marks and assorted whitespace
+_TEXT = "abëA" + PUNCT + "'-" + " \t\n\x1c\x85\xa0\u3000"
+_WORD = st.text(alphabet="abëA'-", min_size=1, max_size=4)
+
+
+class TestTokenizeMatchesReference:
+    @given(st.text(alphabet=_TEXT, max_size=40))
+    @settings(max_examples=500)
+    @example('ar "nësdék iel"')
+    @example("(a.b.) „x“ -'- ''")
+    def test_same_tokens_as_chunk_peeling(self, sentence):
+        assert tokenize(sentence) == reference_tokenize(sentence)
+
+
+class TestSplice:
     @pytest.mark.parametrize(
-        "sentence",
+        "sentence, replacements, expected",
         [
-            "Wou ass d'Bischt fir ze kieren?",
-            "Moien, Jang!",
-            "(kuck emol)",
-            "„Wat soll dat?“",
-            "Eng kleng Zeil.",
+            ('gesot "Mellech"', ["gesot", '"', "Mëllech", '"'], 'gesot "Mëllech"'),
+            ("( a , b )", ["(", "x", ",", "b", ")"], "( x , b )"),
+            (" a\tb  ", ["a", "c"], " a\tc  "),
         ],
     )
-    def test_round_trip_on_canonical_sentences(self, sentence):
-        assert detokenize(tokenize(sentence)) == sentence
+    def test_replaces_in_place(self, sentence, replacements, expected):
+        assert splice(sentence, tokenize(sentence), replacements) == expected
 
-    def test_collapses_extra_whitespace(self):
-        assert detokenize(tokenize("a   b \t c")) == "a b c"
+    def test_replacement_count_must_match(self):
+        with pytest.raises(ValueError):
+            splice("a b", ["a", "b"], ["a"])
 
-    @given(st.text(alphabet="ab .,!?()„“", max_size=30))
-    def test_canonicalization_is_idempotent(self, text):
-        once = detokenize(tokenize(text))
-        assert detokenize(tokenize(once)) == once
+    @given(st.text(alphabet=_TEXT, max_size=40))
+    def test_identity_replacement_returns_input(self, sentence):
+        tokens = tokenize(sentence)
+        assert splice(sentence, tokens, tokens) == sentence
 
-    @given(st.text(alphabet="abë .,!?", max_size=30))
-    def test_token_list_survives_round_trip(self, text):
-        tokens = tokenize(text)
-        assert tokenize(detokenize(tokens)) == tokens
+    @given(st.data())
+    def test_output_tokenizes_to_replacements(self, data):
+        sentence = data.draw(st.text(alphabet=_TEXT, max_size=40))
+        tokens = tokenize(sentence)
+        replacements = [
+            token if is_punctuation(token) else data.draw(_WORD) for token in tokens
+        ]
+        assert tokenize(splice(sentence, tokens, replacements)) == replacements
 
 
 class TestClitics:
