@@ -252,8 +252,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_checklist(args: argparse.Namespace) -> int:
     suite = load_suite(args.suite if args.suite is not None else default_suite_path())
-    if args.normalizer == "pipeline" and (args.dictionary is None or args.lexicon is None):
-        raise ConfigError("the pipeline normalizer requires --dict and --lexicon")
     keys = ("normalizer", "dictionary", "lexicon", "weights", "workers")
     normalizer = build_normalizer(build_config({key: getattr(args, key) for key in keys}))
     report = run_suite(normalizer, suite)
@@ -284,10 +282,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = build_config(overrides, config_file=args.config)
     if config.suite is None:
         config.suite = default_suite_path()
-    required = ["eval_original", "eval_gold"]
-    if config.normalizer == "pipeline":
-        required += ["dictionary", "lexicon"]
-    for key in required:
+    for key in ("eval_original", "eval_gold"):
         if getattr(config, key) is None:
             raise ConfigError(f"missing required option {key!r}")
     report = run_experiment(config)

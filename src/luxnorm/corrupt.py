@@ -12,13 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from luxnorm.dictionary import VariantDictionary
+from luxnorm.parallel import ordered_map
 from luxnorm.tokenizer import (
     apply_case_pattern,
     is_punctuation,
@@ -139,8 +138,9 @@ def corrupt_sentence(
 
 
 def _corrupt_indexed(
-    item: tuple[int, str], dictionary: VariantDictionary, seed: int
+    state: tuple[VariantDictionary, int], item: tuple[int, str]
 ) -> SentencePair:
+    dictionary, seed = state
     index, line = item
     return corrupt_sentence(line, dictionary, sentence_rng(seed, index))
 
@@ -165,31 +165,7 @@ def iter_corrupted(
                 stats.skipped_blank_lines += 1
             continue
         tasks.append((index, line))
-    if workers <= 1:
-        for task in tasks:
-            pair = _corrupt_indexed(task, dictionary, seed)
-            if stats is not None:
-                stats.add(pair)
-            yield pair
-        return
-    job = partial(_corrupt_indexed, dictionary=dictionary, seed=seed)
-    chunksize = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for pair in pool.map(job, tasks, chunksize=chunksize):
-            if stats is not None:
-                stats.add(pair)
-            yield pair
-
-
-def build_parallel_corpus(
-    lines: Sequence[str],
-    dictionary: VariantDictionary,
-    seed: int,
-    workers: int = 1,
-) -> tuple[list[SentencePair], CorpusStats]:
-    """Corrupt a whole corpus and aggregate its statistics."""
-    stats = CorpusStats()
-    pairs = list(iter_corrupted(lines, dictionary, seed, workers=workers, stats=stats))
-    if not pairs:
-        raise ValueError("corpus contains no non-blank sentences")
-    return pairs, stats
+    for pair in ordered_map(_corrupt_indexed, (dictionary, seed), tasks, workers):
+        if stats is not None:
+            stats.add(pair)
+        yield pair

@@ -80,6 +80,9 @@ def build_normalizer(config: RunConfig):
         return lambda sentences: run_external_normalizer(command, sentences)
     if config.normalizer != "pipeline":
         raise ConfigError(f"unknown normalizer {config.normalizer!r}")
+    for key, flag in (("dictionary", "--dict"), ("lexicon", "--lexicon")):
+        if getattr(config, key) is None:
+            raise ConfigError(f"the pipeline normalizer requires {flag}")
     dictionary = load_dictionary(config.dictionary)
     lexicon = load_lexicon(config.lexicon)
     pipeline = Pipeline(
@@ -101,8 +104,6 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     Any stage failure raises StageError with the stage name; artifacts
     written by completed stages stay in the output directory.
     """
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     scheme = ScoringScheme(config.match_bonus, config.mismatch_penalty, config.gap_penalty)
 
     def stage(name: str, fn):
@@ -112,6 +113,8 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
             raise StageError(name, exc) from exc
 
     normalizer = stage("load-resources", lambda: build_normalizer(config))
+    out_dir = config.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     original = stage("read-eval-corpus", lambda: read_lines(config.eval_original))
     gold = stage("read-eval-corpus", lambda: read_lines(config.eval_gold))
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from luxnorm.dictionary import ReverseIndex
 from luxnorm.errors import ParseError, ProtocolError
+from luxnorm.parallel import ordered_map
 from luxnorm.tokenizer import (
     apply_case_pattern,
     is_punctuation,
@@ -67,9 +67,7 @@ class Lexicon:
             index: dict[str, list[str]] = {}
             for word in self._counts:
                 for variant in _deletes_up_to_two(word):
-                    bucket = index.setdefault(variant, [])
-                    if not bucket or bucket[-1] != word:
-                        bucket.append(word)
+                    index.setdefault(variant, []).append(word)
             self._deletes_index = index
         return self._deletes_index
 
@@ -404,47 +402,33 @@ class Pipeline:
     def normalize_lines(self, lines: Sequence[str], workers: int = 1) -> list[str]:
         """Normalize a batch of sentences, optionally across processes.
 
-        With workers > 1 the batch's distinct unknown cores go to a process
-        pool, where each worker receives the pipeline once; their results
-        fill the token cache, from which the lines are rebuilt. Output is
-        the same for any worker count.
+        The batch's distinct unknown cores are normalized once each, on a
+        process pool when workers > 1 (each worker receives the pipeline
+        once); their results fill the token cache, from which the lines
+        are rebuilt. Output is the same for any worker count.
         """
-        if workers > 1:
-            cores = {
-                split_clitic(token)[1]
-                for line in lines
-                for token in tokenize(line)
-                if not is_punctuation(token)
-            }
-            types = sorted(
-                core
-                for core in cores
-                if core and core not in self._token_cache and not self.lexicon.contains_folded(core)
-            )
-            if types:
-                # built before the pool starts, so workers inherit or receive it once
-                self.lexicon.deletes_index()
-                workers = min(workers, len(types))
-                chunksize = max(1, len(types) // (workers * 4))
-                with ProcessPoolExecutor(
-                    workers, initializer=_install_pipeline, initargs=(self,)
-                ) as pool:
-                    results = pool.map(_normalize_type, types, chunksize=chunksize)
-                    self._token_cache.update(zip(types, results))
+        cores = {
+            split_clitic(token)[1]
+            for line in lines
+            for token in tokenize(line)
+            if not is_punctuation(token)
+        }
+        types = sorted(
+            core
+            for core in cores
+            if core and core not in self._token_cache and not self.lexicon.contains_folded(core)
+        )
+        if types:
+            # built before the pool starts, so workers inherit or receive it once
+            self.lexicon.deletes_index()
+            results = ordered_map(_normalize_type, self, types, workers)
+            # strict: exhausting the results also shuts the pool down here
+            self._token_cache.update(zip(types, results, strict=True))
         return [self.normalize_sentence(line) for line in lines]
 
 
-# the pipeline of a pool worker process, set once by the pool initializer
-_worker_pipeline: Pipeline | None = None
-
-
-def _install_pipeline(pipeline: Pipeline) -> None:
-    global _worker_pipeline
-    _worker_pipeline = pipeline
-
-
-def _normalize_type(token: str) -> str:
-    return _worker_pipeline.normalize_token(token)
+def _normalize_type(pipeline: Pipeline, token: str) -> str:
+    return pipeline._normalize_token(token)
 
 
 def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[str]) -> list[str]:

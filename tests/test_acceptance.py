@@ -19,7 +19,7 @@ from conftest import distant_vocabulary, make_dictionary, mutate_word
 from luxnorm.align import ScoringScheme, align_triple, levenshtein, token_similarity
 from luxnorm.checklist import Setup, default_suite_path, load_suite, run_suite
 from luxnorm.cli import main
-from luxnorm.corrupt import build_parallel_corpus
+from luxnorm.corrupt import CorpusStats, iter_corrupted
 from luxnorm.dictionary import build_reverse_index
 from luxnorm.metrics import Judgment, compute_metrics, evaluate_sentences
 from luxnorm.normalize import Lexicon, Pipeline
@@ -66,7 +66,7 @@ def build_round_trip_fixture(seed: int, size: int, sentences: int, ambiguous: bo
 def test_leave_as_is_baseline_err_zero():
     """Predictions identical to originals: ERR = 0 exactly, FP = TP = 0."""
     dictionary, _, corpus = build_round_trip_fixture(seed=3, size=12, sentences=25)
-    pairs, _ = build_parallel_corpus(corpus, dictionary, seed=3)
+    pairs = list(iter_corrupted(corpus, dictionary, seed=3))
     original = [p.source for p in pairs]
     gold = [p.target for p in pairs]
     assert any(o != g for o, g in zip(original, gold)), "fixture must contain errors"
@@ -81,7 +81,7 @@ def test_leave_as_is_baseline_err_zero():
 def test_perfect_oracle_err_one():
     """Predictions identical to gold: ERR = 1, accuracy = 1, CER = 0."""
     dictionary, _, corpus = build_round_trip_fixture(seed=4, size=12, sentences=25)
-    pairs, _ = build_parallel_corpus(corpus, dictionary, seed=4)
+    pairs = list(iter_corrupted(corpus, dictionary, seed=4))
     original = [p.source for p in pairs]
     gold = [p.target for p in pairs]
     assert any(o != g for o, g in zip(original, gold))
@@ -216,7 +216,8 @@ def test_levenshtein_matches_recursive_brute_force():
 def test_round_trip_recovery_err_one():
     """Corrupt with an unambiguous dictionary, normalize back: ERR = 1.0."""
     dictionary, lexicon, corpus = build_round_trip_fixture(seed=42, size=60, sentences=500)
-    pairs, stats = build_parallel_corpus(corpus, dictionary, seed=42)
+    stats = CorpusStats()
+    pairs = list(iter_corrupted(corpus, dictionary, seed=42, stats=stats))
     assert stats.total_changed > 0
     original = [p.source for p in pairs]
     gold = [p.target for p in pairs]
@@ -352,7 +353,8 @@ def test_pipeline_beats_leave_as_is_on_ambiguous_fixture():
     dictionary, lexicon, corpus = build_round_trip_fixture(
         seed=7, size=40, sentences=200, ambiguous=True
     )
-    pairs, stats = build_parallel_corpus(corpus, dictionary, seed=7)
+    stats = CorpusStats()
+    pairs = list(iter_corrupted(corpus, dictionary, seed=7, stats=stats))
     assert stats.total_changed > 0
     original = [p.source for p in pairs]
     gold = [p.target for p in pairs]

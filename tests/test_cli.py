@@ -87,6 +87,13 @@ class TestSynth:
         assert excinfo.value.code == 2
         assert "--dict" in capsys.readouterr().err
 
+    def test_all_blank_corpus_is_data_error(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "blank.txt"
+        corpus.write_text("\n \n\t\n", encoding="utf-8")
+        argv = ["synth", "--dict", str(workspace["dict"]), "--corpus", str(corpus)]
+        assert main([*argv, "--out", str(tmp_path / "pairs.jsonl")]) == EXIT_DATA
+        assert "no non-blank sentences" in capsys.readouterr().err
+
     def test_byte_identical_across_worker_counts(self, workspace, tmp_path):
         outputs = []
         for workers in ("1", "8"):
@@ -287,6 +294,14 @@ class TestRunCommand:
 
     def test_missing_eval_paths_is_config_error(self, workspace, capsys):
         assert main(["run", "--dict", str(workspace["dict"])]) == EXIT_CONFIG
+
+    def test_pipeline_without_dict_writes_nothing(self, workspace, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        argv = ["run", "--lexicon", str(workspace["lexicon"]), "--out-dir", str(out_dir)]
+        argv += ["--eval-orig", str(workspace["orig"]), "--eval-gold", str(workspace["gold"])]
+        assert main(argv) == EXIT_CONFIG
+        assert "--dict" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_predictions_bypass(self, workspace, tmp_path):
         out_dir = tmp_path / "out"

@@ -7,7 +7,6 @@ import pytest
 from conftest import distant_vocabulary, make_dictionary, mutate_word
 from luxnorm.corrupt import (
     CorpusStats,
-    build_parallel_corpus,
     corrupt_sentence,
     iter_corrupted,
     sentence_rng,
@@ -93,15 +92,15 @@ class TestDeterminism:
     def test_corpus_is_reproducible(self):
         dictionary = make_dictionary({"gutt": {"gut": 1, "gutt": 1}})
         lines = ["e gutt Joer", "e gutt Buch", "alles gutt"] * 5
-        first, _ = build_parallel_corpus(lines, dictionary, seed=42)
-        second, _ = build_parallel_corpus(lines, dictionary, seed=42)
+        first = list(iter_corrupted(lines, dictionary, seed=42))
+        second = list(iter_corrupted(lines, dictionary, seed=42))
         assert first == second
 
     def test_worker_count_does_not_change_output(self):
         dictionary = make_dictionary({"gutt": {"gut": 1, "gutt": 1}})
         lines = [f"nummer {i} ass gutt" for i in range(40)]
-        serial, _ = build_parallel_corpus(lines, dictionary, seed=5, workers=1)
-        parallel, _ = build_parallel_corpus(lines, dictionary, seed=5, workers=4)
+        serial = list(iter_corrupted(lines, dictionary, seed=5, workers=1))
+        parallel = list(iter_corrupted(lines, dictionary, seed=5, workers=4))
         assert serial == parallel
 
     def test_monotone_coverage(self):
@@ -113,8 +112,8 @@ class TestDeterminism:
         full = make_dictionary(table)
         reduced = make_dictionary({w: v for w, v in table.items() if w != vocab[0]})
         lines = [" ".join(rng.choices(vocab, k=6)) for _ in range(30)]
-        full_pairs, _ = build_parallel_corpus(lines, full, seed=11)
-        reduced_pairs, _ = build_parallel_corpus(lines, reduced, seed=11)
+        full_pairs = list(iter_corrupted(lines, full, seed=11))
+        reduced_pairs = list(iter_corrupted(lines, reduced, seed=11))
         for with_lemma, without_lemma in zip(full_pairs, reduced_pairs):
             assert without_lemma.changed_tokens <= with_lemma.changed_tokens
 
@@ -123,7 +122,8 @@ class TestCorpusStats:
     def test_empty_dictionary_counts_nothing(self):
         dictionary = make_dictionary({"zzz": {"zz": 1}})
         lines = ["eng zeil", "nach eng zeil", "déi lescht zeil"]
-        pairs, stats = build_parallel_corpus(lines, dictionary, seed=1)
+        stats = CorpusStats()
+        pairs = list(iter_corrupted(lines, dictionary, seed=1, stats=stats))
         assert stats.pair_count == 3
         assert stats.mean_changed_tokens == 0
         assert stats.replacement_rate == 0
@@ -143,7 +143,8 @@ class TestCorpusStats:
         vocab = distant_vocabulary(rng, 30)
         dictionary = make_dictionary({w: {w: 1, mutate_word(rng, w): 1} for w in vocab})
         lines = [" ".join(rng.choices(vocab, k=8)) for _ in range(1000)]
-        pairs, stats = build_parallel_corpus(lines, dictionary, seed=77)
+        stats = CorpusStats()
+        pairs = list(iter_corrupted(lines, dictionary, seed=77, stats=stats))
         changed = total = 0
         for pair in pairs:
             source_tokens = tokenize(pair.source)
@@ -153,10 +154,6 @@ class TestCorpusStats:
             total += len(target_tokens)
         assert stats.replacement_rate == pytest.approx(changed / total)
         assert abs(stats.replacement_rate - 0.5) <= 0.03
-
-    def test_all_blank_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            build_parallel_corpus(["", " "], make_dictionary({"a": {"b": 1}}), seed=0)
 
     def test_jsonl_round_trip(self):
         import json
