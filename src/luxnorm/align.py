@@ -3,13 +3,15 @@
 Pairwise and 3-sequence Needleman-Wunsch over token lists. Match columns
 are scored with a Levenshtein-based similarity mapped into [-1, 1]; gap
 columns cost a fixed penalty. The 3-sequence variant runs a full cubic
-dynamic program (sentences are short, so this is cheap) instead of
-composing pairwise alignments, which would not yield consistent triples.
+dynamic program instead of composing pairwise alignments, which would not
+yield consistent triples; its time and memory grow with the product of
+the three lengths. Each distinct token pair is scored once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 
@@ -52,23 +54,11 @@ DEFAULT_SCHEME = ScoringScheme()
 
 
 @dataclass(frozen=True)
-class PairwiseAlignment:
-    columns: tuple[tuple[object, object], ...]
+class Alignment:
+    """Position-wise aligned token columns, one entry per input sequence."""
+
+    columns: tuple[tuple[object, ...], ...]
     score: float
-
-    def row(self, index: int) -> list[str]:
-        return [col[index] for col in self.columns if col[index] is not GAP]
-
-
-@dataclass(frozen=True)
-class AlignedTriple:
-    """Position-wise aligned (original, predicted, gold) token columns."""
-
-    columns: tuple[tuple[object, object, object], ...]
-    score: float
-
-    def row(self, index: int) -> list[str]:
-        return [col[index] for col in self.columns if col[index] is not GAP]
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -101,54 +91,87 @@ def token_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
-class _PairScorer:
-    """Caches per-call pair scores; tokens repeat a lot within sentences."""
+def _pair_scores(
+    seqs: Sequence[Sequence[str]], scheme: ScoringScheme
+) -> list[list[list[float]]]:
+    """Match-column scores for every pair of sequences.
 
-    __slots__ = ("_cache", "_match", "_mismatch")
+    One matrix per pair, in (0, 1), (0, 2), (1, 2) order, with one row per
+    token of the pair's first sequence. Tokens repeat a lot within
+    sentences, so the matrices share one symmetric memo and each distinct
+    token pair is scored once.
+    """
+    span = scheme.match_bonus - scheme.mismatch_penalty
+    memo: dict[tuple[str, str], float] = {}
+    matrices = []
+    for first, second in combinations(seqs, 2):
+        matrix = []
+        for x in first:
+            row = []
+            for y in second:
+                value = memo.get((x, y))
+                if value is None:
+                    value = scheme.mismatch_penalty + span * token_similarity(x, y)
+                    memo[x, y] = memo[y, x] = value
+                row.append(value)
+            matrix.append(row)
+        matrices.append(matrix)
+    return matrices
 
-    def __init__(self, scheme: ScoringScheme):
-        self._cache: dict[tuple[str, str], float] = {}
-        self._match = scheme.match_bonus
-        self._mismatch = scheme.mismatch_penalty
 
-    def score(self, a: str, b: str) -> float:
-        key = (a, b)
-        cached = self._cache.get(key)
-        if cached is None:
-            span = self._match - self._mismatch
-            cached = self._mismatch + span * token_similarity(a, b)
-            self._cache[key] = cached
-            self._cache[(b, a)] = cached
-        return cached
+# Moves are bitmasks over the input sequences: bit d means "consume a token
+# of sequence d", and a sequence whose bit is clear gets a gap. Both
+# programs try moves in tie-breaking preference order: all-diagonal, then
+# two-sequence advances, then single advances.
+
+
+def _traceback(move: list[int], seqs: Sequence[Sequence[str]]) -> tuple[tuple[object, ...], ...]:
+    """Columns of the optimal path, walked back from the last cell.
+
+    `move` is the row-major table of the moves that reached each cell,
+    with one axis of length len(seq) + 1 per sequence.
+    """
+    strides = [1] * len(seqs)
+    for d in range(len(seqs) - 2, -1, -1):
+        strides[d] = strides[d + 1] * (len(seqs[d + 1]) + 1)
+    position = [len(seq) for seq in seqs]
+    cell = len(move) - 1
+    columns = []
+    while cell:
+        step = move[cell]
+        column = []
+        for d, seq in enumerate(seqs):
+            if step >> d & 1:
+                position[d] -= 1
+                cell -= strides[d]
+                column.append(seq[position[d]])
+            else:
+                column.append(GAP)
+        columns.append(tuple(column))
+    columns.reverse()
+    return tuple(columns)
 
 
 def needleman_wunsch(
     a: Sequence[str],
     b: Sequence[str],
     scheme: ScoringScheme = DEFAULT_SCHEME,
-) -> PairwiseAlignment:
+) -> Alignment:
     """Globally optimal pairwise alignment with deterministic traceback.
 
     Ties prefer a match column, then a gap in `a`, then a gap in `b`.
     """
-    scorer = _PairScorer(scheme)
+    (pair,) = _pair_scores((a, b), scheme)
     gp = scheme.gap_penalty
     n, m = len(a), len(b)
-    # moves: 3 = consume both, 2 = consume b (gap in a), 1 = consume a
-    score = [[0.0] * (m + 1) for _ in range(n + 1)]
-    move = [[0] * (m + 1) for _ in range(n + 1)]
-    for j in range(1, m + 1):
-        score[0][j] = gp * j
-        move[0][j] = 2
+    above = [0.0] + [gp * j for j in range(1, m + 1)]
+    move = [0] + [2] * m
     for i in range(1, n + 1):
-        score[i][0] = gp * i
-        move[i][0] = 1
-    for i in range(1, n + 1):
-        row = score[i]
-        above = score[i - 1]
-        ai = a[i - 1]
+        row = [gp * i]
+        move.append(1)
+        pair_i = pair[i - 1]
         for j in range(1, m + 1):
-            best = above[j - 1] + scorer.score(ai, b[j - 1])
+            best = above[j - 1] + pair_i[j - 1]
             best_move = 3
             cand = row[j - 1] + gp
             if cand > best:
@@ -156,29 +179,10 @@ def needleman_wunsch(
             cand = above[j] + gp
             if cand > best:
                 best, best_move = cand, 1
-            row[j] = best
-            move[i][j] = best_move
-    columns: list[tuple[object, object]] = []
-    i, j = n, m
-    while i or j:
-        step = move[i][j]
-        if step == 3:
-            columns.append((a[i - 1], b[j - 1]))
-            i -= 1
-            j -= 1
-        elif step == 2:
-            columns.append((GAP, b[j - 1]))
-            j -= 1
-        else:
-            columns.append((a[i - 1], GAP))
-            i -= 1
-    columns.reverse()
-    return PairwiseAlignment(tuple(columns), score[n][m])
-
-
-# Moves in the 3-sequence program are bitmasks (1 = consume from the first
-# sequence, 2 = second, 4 = third), evaluated in tie-breaking preference
-# order: all-diagonal, then two-sequence advances, then single advances.
+            row.append(best)
+            move.append(best_move)
+        above = row
+    return Alignment(_traceback(move, (a, b)), above[m])
 
 
 def align_triple(
@@ -186,15 +190,14 @@ def align_triple(
     predicted: Sequence[str],
     gold: Sequence[str],
     scheme: ScoringScheme = DEFAULT_SCHEME,
-) -> AlignedTriple:
+) -> Alignment:
     """Globally optimal 3-sequence alignment over a DP cube.
 
     A column scores the sum of its three pairwise scores; a pair with at
     least one gap contributes gap_penalty. Traceback follows the fixed
     move-preference order, so output is deterministic.
     """
-    scorer = _PairScorer(scheme)
-    ps = scorer.score
+    op, og, pg = _pair_scores((original, predicted, gold), scheme)
     gp2 = 2.0 * scheme.gap_penalty
     gp3 = 3.0 * scheme.gap_penalty
     no, np_, ng = len(original), len(predicted), len(gold)
@@ -206,18 +209,18 @@ def align_triple(
     move = [0] * size
     score[0] = 0.0
     for i in range(no + 1):
-        oi = original[i - 1] if i else None
+        op_i = op[i - 1] if i else None
+        og_i = og[i - 1] if i else None
         base_i = i * plane
         for j in range(np_ + 1):
-            pj = predicted[j - 1] if j else None
+            pg_j = pg[j - 1] if j else None
             base_ij = base_i + j * depth
-            s_op = ps(oi, pj) if i and j else 0.0
+            s_op = op_i[j - 1] if i and j else 0.0
             for k in range(ng + 1):
                 if not (i or j or k):
                     continue
-                gk = gold[k - 1] if k else None
-                s_og = ps(oi, gk) if i and k else 0.0
-                s_pg = ps(pj, gk) if j and k else 0.0
+                s_og = og_i[k - 1] if i and k else 0.0
+                s_pg = pg_j[k - 1] if j and k else 0.0
                 cell = base_ij + k
                 best = neg_inf
                 best_move = 0
@@ -253,25 +256,4 @@ def align_triple(
                         best, best_move = cand, 4
                 score[cell] = best
                 move[cell] = best_move
-    columns: list[tuple[object, object, object]] = []
-    i, j, k = no, np_, ng
-    while i or j or k:
-        step = move[i * plane + j * depth + k]
-        if step & 1:
-            x = original[i - 1]
-            i -= 1
-        else:
-            x = GAP
-        if step & 2:
-            y = predicted[j - 1]
-            j -= 1
-        else:
-            y = GAP
-        if step & 4:
-            z = gold[k - 1]
-            k -= 1
-        else:
-            z = GAP
-        columns.append((x, y, z))
-    columns.reverse()
-    return AlignedTriple(tuple(columns), score[no * plane + np_ * depth + ng])
+    return Alignment(_traceback(move, (original, predicted, gold)), score[-1])

@@ -146,14 +146,14 @@ def _cmd_dict_validate(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(args.dictionary)
     workers = effective_workers(args.workers)
-    stats = CorpusStats()
-    with open(args.corpus, encoding="utf-8") as corpus, open(
-        args.out, "w", encoding="utf-8", newline="\n"
-    ) as out:
-        for pair in iter_corrupted(corpus, dictionary, args.seed, workers=workers, stats=stats):
-            out.write(pair.to_json() + "\n")
-    if stats.pair_count == 0:
+    lines = read_lines(args.corpus)
+    # checked before --out is opened, so a failed run leaves it untouched
+    if not any(line.strip() for line in lines):
         raise ParseError("corpus contains no non-blank sentences", path=str(args.corpus))
+    stats = CorpusStats()
+    with open(args.out, "w", encoding="utf-8", newline="\n") as out:
+        for pair in iter_corrupted(lines, dictionary, args.seed, workers=workers, stats=stats):
+            out.write(pair.to_json() + "\n")
     if args.stats is not None:
         args.stats.write_text(
             json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -96,8 +96,6 @@ def corrupt_token(token: str, dictionary: VariantDictionary, u: float) -> str:
     if is_punctuation(token):
         return token
     prefix, core = split_clitic(token)
-    if not core:
-        return token
     key = dictionary.resolve(core)
     if key is None:
         return token

@@ -18,13 +18,12 @@ from luxnorm.align import ScoringScheme
 from luxnorm.checklist import SuiteReport, load_suite, render_report, run_suite
 from luxnorm.config import RunConfig, effective_workers
 from luxnorm.dictionary import build_reverse_index, load_dictionary
-from luxnorm.errors import ConfigError, LuxnormError
+from luxnorm.errors import ConfigError, LuxnormError, ProtocolError
 from luxnorm.metrics import MetricsReport, evaluate_sentences
 from luxnorm.normalize import (
     Pipeline,
     PipelineConfig,
     load_lexicon,
-    read_predictions,
     run_external_normalizer,
 )
 
@@ -67,6 +66,16 @@ def read_lines(path: Path) -> list[str]:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    return lines
+
+
+def read_predictions(path: Path, expected: int) -> list[str]:
+    """Load precomputed predictions, one sentence per line."""
+    lines = read_lines(path)
+    if len(lines) != expected:
+        raise ProtocolError(
+            f"predictions file {path} has {len(lines)} lines, expected {expected}"
+        )
     return lines
 
 

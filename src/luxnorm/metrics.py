@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from luxnorm.align import GAP, AlignedTriple, ScoringScheme, align_triple, levenshtein
+from luxnorm.align import GAP, Alignment, ScoringScheme, align_triple, levenshtein
 from luxnorm.tokenizer import tokenize
 
 
@@ -37,7 +37,7 @@ def nfc(token: object) -> object:
 
 
 def classify_columns(
-    triple: AlignedTriple,
+    triple: Alignment,
     double_count_miscorrections: bool = False,
 ) -> list[Judgment]:
     """Classify each aligned column against the gold reference.

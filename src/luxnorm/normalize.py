@@ -393,9 +393,6 @@ class Pipeline:
                 output.append(token)
                 continue
             prefix, core = split_clitic(token)
-            if not core:
-                output.append(token)
-                continue
             output.append(prefix + self.normalize_token(core))
         return splice(sentence, tokens, output)
 
@@ -416,7 +413,7 @@ class Pipeline:
         types = sorted(
             core
             for core in cores
-            if core and core not in self._token_cache and not self.lexicon.contains_folded(core)
+            if core not in self._token_cache and not self.lexicon.contains_folded(core)
         )
         if types:
             # built before the pool starts, so workers inherit or receive it once
@@ -462,17 +459,5 @@ def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[st
     if len(lines) != len(sentences):
         raise ProtocolError(
             f"normalizer wrote {len(lines)} lines for {len(sentences)} inputs"
-        )
-    return lines
-
-
-def read_predictions(path: str | Path, expected: int) -> list[str]:
-    """Load precomputed predictions, one sentence per line."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) != expected:
-        raise ProtocolError(
-            f"predictions file {path} has {len(lines)} lines, expected {expected}"
         )
     return lines

@@ -23,7 +23,7 @@ from luxnorm.corrupt import CorpusStats, iter_corrupted
 from luxnorm.dictionary import build_reverse_index
 from luxnorm.metrics import Judgment, compute_metrics, evaluate_sentences
 from luxnorm.normalize import Lexicon, Pipeline
-from oracles import brute_force_triple_value, levenshtein_recursive, triple_value_oracle
+from oracles import brute_force_triple_value, kept, levenshtein_recursive, triple_value_oracle
 
 SCHEME = ScoringScheme()
 
@@ -192,7 +192,7 @@ def test_three_way_alignment_matches_brute_force_exhaustively():
         o, p, g = _triple_from_key(key)
         result = align_triple(o, p, g, SCHEME)
         assert result.score == best_triple_value(o, p, g), key
-        assert result.row(0) == list(o) and result.row(1) == list(p) and result.row(2) == list(g)
+        assert [kept(result, side) for side in range(3)] == [list(o), list(p), list(g)]
     best_triple_value.cache_clear()
 
     elapsed = time.monotonic() - start

@@ -17,7 +17,10 @@ from luxnorm.align import (
 from oracles import (
     brute_force_pair_value,
     brute_force_triple_value,
+    kept,
     levenshtein_recursive,
+    reference_align_triple,
+    reference_needleman_wunsch,
 )
 
 SCHEME = ScoringScheme()
@@ -98,8 +101,8 @@ class TestNeedlemanWunsch:
         a = ["x", "yy", "z"]
         b = ["yy", "z", "w"]
         result = needleman_wunsch(a, b, SCHEME)
-        assert result.row(0) == a
-        assert result.row(1) == b
+        assert kept(result, 0) == a
+        assert kept(result, 1) == b
 
     @given(token_lists, token_lists)
     @settings(max_examples=60, deadline=None)
@@ -144,9 +147,9 @@ class TestAlignTriple:
         p = ["a", "c", "d"]
         g = ["a", "b", "d"]
         result = align_triple(o, p, g, SCHEME)
-        assert result.row(0) == o
-        assert result.row(1) == p
-        assert result.row(2) == g
+        assert kept(result, 0) == o
+        assert kept(result, 1) == p
+        assert kept(result, 2) == g
 
     def test_equal_identical_triples_have_no_gaps(self):
         seq = ["aa", "b", "aa", "c"]
@@ -193,10 +196,38 @@ class TestAlignTriple:
     @settings(max_examples=30, deadline=None)
     def test_gap_deletion_round_trip(self, o, p, g):
         result = align_triple(o, p, g, SCHEME)
-        assert result.row(0) == list(o)
-        assert result.row(1) == list(p)
-        assert result.row(2) == list(g)
+        assert kept(result, 0) == list(o)
+        assert kept(result, 1) == list(p)
+        assert kept(result, 2) == list(g)
         assert all(col != (GAP, GAP, GAP) for col in result.columns)
+
+
+class TestMatchesReference:
+    """Columns and score equal the reference aligners', ties included."""
+
+    @given(st.lists(tokens, max_size=8), st.lists(tokens, max_size=8), accepted_schemes())
+    @settings(max_examples=200, deadline=None)
+    @example([], [], SCHEME)
+    @example([], ["a", "b"], SCHEME)
+    @example(["a", "b", "a"], ["b", "a"], ScoringScheme(gap_penalty=0.0))
+    @example(["ab", "b", "ë"], ["b", "ab"], ScoringScheme(mismatch_penalty=1.0))
+    def test_needleman_wunsch(self, a, b, scheme):
+        assert needleman_wunsch(a, b, scheme) == reference_needleman_wunsch(a, b, scheme)
+
+    @given(
+        st.lists(tokens, max_size=8),
+        st.lists(tokens, max_size=8),
+        st.lists(tokens, max_size=8),
+        accepted_schemes(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([], [], [], SCHEME)
+    @example(["a"], [], ["b", "a"], SCHEME)
+    @example(["a", "b", "a"], ["b"], ["a", "a"], ScoringScheme(gap_penalty=0.0))
+    @example(["ab", "b"], ["a", "ab", "ë"], ["b"], ScoringScheme(mismatch_penalty=1.0))
+    @example(["ab", "b"], ["b", "a"], ["ë"], ScoringScheme(mismatch_penalty=1.0, gap_penalty=0.0))
+    def test_align_triple(self, o, p, g, scheme):
+        assert align_triple(o, p, g, scheme) == reference_align_triple(o, p, g, scheme)
 
 
 def test_scheme_rejects_gap_penalty_above_match():

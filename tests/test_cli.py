@@ -90,9 +90,12 @@ class TestSynth:
     def test_all_blank_corpus_is_data_error(self, workspace, tmp_path, capsys):
         corpus = tmp_path / "blank.txt"
         corpus.write_text("\n \n\t\n", encoding="utf-8")
+        out = tmp_path / "pairs.jsonl"
+        out.write_bytes(b'{"kept": true}\n')
         argv = ["synth", "--dict", str(workspace["dict"]), "--corpus", str(corpus)]
-        assert main([*argv, "--out", str(tmp_path / "pairs.jsonl")]) == EXIT_DATA
+        assert main([*argv, "--out", str(out)]) == EXIT_DATA
         assert "no non-blank sentences" in capsys.readouterr().err
+        assert out.read_bytes() == b'{"kept": true}\n'
 
     def test_byte_identical_across_worker_counts(self, workspace, tmp_path):
         outputs = []

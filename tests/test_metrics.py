@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luxnorm.align import GAP, AlignedTriple, ScoringScheme
+from luxnorm.align import GAP, Alignment, ScoringScheme
 from luxnorm.metrics import (
     Judgment,
     cer,
@@ -17,8 +17,8 @@ from luxnorm.metrics import (
 )
 
 
-def make_triple(columns) -> AlignedTriple:
-    return AlignedTriple(tuple(columns), 0.0)
+def make_triple(columns) -> Alignment:
+    return Alignment(tuple(columns), 0.0)
 
 
 class TestClassifyColumns:

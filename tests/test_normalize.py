@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_dictionary
 from luxnorm.dictionary import build_reverse_index
 from luxnorm.errors import ParseError, ProtocolError
+from luxnorm.experiment import read_predictions
 from luxnorm.normalize import (
     LUX_ALPHABET,
     Lexicon,
@@ -19,7 +20,6 @@ from luxnorm.normalize import (
     edit_candidates,
     load_lexicon,
     ngram_candidates,
-    read_predictions,
     run_external_normalizer,
 )
 from oracles import damerau_levenshtein, neighborhood_distances

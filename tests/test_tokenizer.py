@@ -105,6 +105,12 @@ class TestClitics:
     def test_split(self, token, prefix, core):
         assert split_clitic(token) == (prefix, core)
 
+    @given(st.text(alphabet="dDlLmMtTzZaë'-" + PUNCT + " \t\n\r\x85", max_size=30))
+    @settings(max_examples=300)
+    @example("d' l'. (z'\nT'")
+    def test_every_token_has_a_core(self, text):
+        assert all(split_clitic(token)[1] for token in tokenize(text))
+
 
 class TestPunctuationPredicate:
     def test_pure_punctuation(self):
