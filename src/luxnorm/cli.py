@@ -9,14 +9,15 @@ normalizer protocol, 1 unexpected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from luxnorm import __version__
-from luxnorm.align import GAP, ScoringScheme, align_triple
+from luxnorm.align import GAP, align_triple
 from luxnorm.checklist import default_suite_path, load_suite, render_report, run_suite
-from luxnorm.config import DEFAULT_SEED, build_config, effective_workers
+from luxnorm.config import RunConfig, build_config, effective_workers
 from luxnorm.corrupt import CorpusStats, iter_corrupted
 from luxnorm.dictionary import load_dictionary
 from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError
@@ -44,13 +45,15 @@ def _parse_weights(text: str) -> tuple[float, float, float, float]:
 
 
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--match-bonus", type=float, default=1.0)
-    parser.add_argument("--mismatch-penalty", type=float, default=-1.0)
-    parser.add_argument("--gap-penalty", type=float, default=-0.5)
+    parser.add_argument("--match-bonus", type=float)
+    parser.add_argument("--mismatch-penalty", type=float)
+    parser.add_argument("--gap-penalty", type=float)
 
 
-def _scheme(args: argparse.Namespace) -> ScoringScheme:
-    return ScoringScheme(args.match_bonus, args.mismatch_penalty, args.gap_penalty)
+def _config(args: argparse.Namespace, config_file: Path | None = None) -> RunConfig:
+    """The subcommand's settings: its flags over the config file over the defaults."""
+    names = (spec.name for spec in dataclasses.fields(RunConfig))
+    return build_config({name: getattr(args, name, None) for name in names}, config_file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,20 +73,20 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--dict", dest="dictionary", type=Path, required=True)
     synth.add_argument("--corpus", type=Path, required=True)
     synth.add_argument("--out", type=Path, required=True)
-    synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    synth.add_argument("--seed", type=int)
     synth.add_argument("--stats", type=Path)
-    synth.add_argument("--workers", type=int, default=1)
+    synth.add_argument("--workers", type=int)
 
     normalize = sub.add_parser("normalize", help="normalize sentences with the pipeline")
     normalize.add_argument("--dict", dest="dictionary", type=Path, required=True)
     normalize.add_argument("--lexicon", type=Path, required=True)
     normalize.add_argument("--in", dest="input", type=Path, required=True)
     normalize.add_argument("--out", type=Path, required=True)
-    normalize.add_argument("--weights", type=_parse_weights, default=(0.4, 0.2, 0.2, 0.2))
-    normalize.add_argument("--ngram-n", type=int, default=3)
-    normalize.add_argument("--topk", type=int, default=10)
-    normalize.add_argument("--max-edit-distance", type=int, default=2, choices=(1, 2))
-    normalize.add_argument("--workers", type=int, default=1)
+    normalize.add_argument("--weights", type=_parse_weights)
+    normalize.add_argument("--ngram-n", type=int)
+    normalize.add_argument("--topk", type=int)
+    normalize.add_argument("--max-edit-distance", type=int)
+    normalize.add_argument("--workers", type=int)
 
     align = sub.add_parser("align", help="dump a 3-way word alignment for inspection")
     align.add_argument("--orig", type=Path, required=True)
@@ -103,18 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(evaluate)
 
     checklist = sub.add_parser("checklist", help="run the minimum-functionality suite")
-    checklist.add_argument("--suite", type=Path, default=None)
-    checklist.add_argument(
-        "--normalizer",
-        default="pipeline",
-        help="pipeline, identity, or cmd:<command line>",
-    )
+    checklist.add_argument("--suite", type=Path)
+    checklist.add_argument("--normalizer", help="pipeline, identity, or cmd:<command line>")
     checklist.add_argument("--dict", dest="dictionary", type=Path)
     checklist.add_argument("--lexicon", type=Path)
     checklist.add_argument("--report", type=Path)
     checklist.add_argument("--format", choices=("tsv", "table"), default="table")
-    checklist.add_argument("--weights", type=_parse_weights, default=(0.4, 0.2, 0.2, 0.2))
-    checklist.add_argument("--workers", type=int, default=1)
+    checklist.add_argument("--weights", type=_parse_weights)
+    checklist.add_argument("--workers", type=int)
 
     run = sub.add_parser("run", help="full experiment: normalize, evaluate, checklist")
     run.add_argument("--config", type=Path, help="JSON config file; flags override it")
@@ -136,7 +135,7 @@ def _cmd_dict_validate(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(args.path)
     variant_entries = sum(len(dictionary.variants(lemma)) for lemma in dictionary.lemmas())
     total_count = sum(dictionary.total_count(lemma) for lemma in dictionary.lemmas())
-    print(f"lemmas\t{dictionary.total_lemmas}")
+    print(f"lemmas\t{len(dictionary)}")
     print(f"variant_entries\t{variant_entries}")
     print(f"total_count\t{total_count}")
     print(f"max_variants\t{max(len(dictionary.variants(l)) for l in dictionary.lemmas())}")
@@ -144,15 +143,16 @@ def _cmd_dict_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dictionary = load_dictionary(args.dictionary)
-    workers = effective_workers(args.workers)
+    config = _config(args)
+    dictionary = load_dictionary(config.dictionary)
+    workers = effective_workers(config.workers)
     lines = read_lines(args.corpus)
     # checked before --out is opened, so a failed run leaves it untouched
     if not any(line.strip() for line in lines):
         raise ParseError("corpus contains no non-blank sentences", path=str(args.corpus))
     stats = CorpusStats()
     with open(args.out, "w", encoding="utf-8", newline="\n") as out:
-        for pair in iter_corrupted(lines, dictionary, args.seed, workers=workers, stats=stats):
+        for pair in iter_corrupted(lines, dictionary, config.seed, workers=workers, stats=stats):
             out.write(pair.to_json() + "\n")
     if args.stats is not None:
         args.stats.write_text(
@@ -166,8 +166,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    keys = ("dictionary", "lexicon", "weights", "max_edit_distance", "ngram_n", "topk", "workers")
-    normalizer = build_normalizer(build_config({key: getattr(args, key) for key in keys}))
+    normalizer = build_normalizer(_config(args))
     lines = read_lines(args.input)
     outputs = normalizer(lines)
     args.out.write_text("".join(line + "\n" for line in outputs), encoding="utf-8")
@@ -176,6 +175,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    scheme = _config(args).scheme()
     original = read_lines(args.orig)
     predicted = read_lines(args.pred)
     gold = read_lines(args.gold)
@@ -183,7 +183,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
         raise ParseError(
             f"line counts differ: {len(original)}/{len(predicted)}/{len(gold)}"
         )
-    scheme = _scheme(args)
     rows = ["original\tpredicted\tgold"]
     for orig, pred, ref in zip(original, predicted, gold):
         triple = align_triple(tokenize(orig), tokenize(pred), tokenize(ref), scheme)
@@ -197,14 +196,10 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _eval_report_dict(args: argparse.Namespace, report, rows) -> dict:
+def _eval_report_dict(args: argparse.Namespace, scheme, report, rows) -> dict:
     data = {
         "metrics": report.to_dict(),
-        "scoring_scheme": {
-            "match_bonus": args.match_bonus,
-            "mismatch_penalty": args.mismatch_penalty,
-            "gap_penalty": args.gap_penalty,
-        },
+        "scoring_scheme": dataclasses.asdict(scheme),
         "double_count_miscorrections": args.double_count_miscorrections,
     }
     if args.verbose:
@@ -219,6 +214,7 @@ def _eval_report_dict(args: argparse.Namespace, report, rows) -> dict:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    scheme = _config(args).scheme()
     original = read_lines(args.orig)
     predicted = read_lines(args.pred)
     gold = read_lines(args.gold)
@@ -226,10 +222,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         original,
         predicted,
         gold,
-        _scheme(args),
+        scheme,
         double_count_miscorrections=args.double_count_miscorrections,
     )
-    data = _eval_report_dict(args, report, rows)
+    data = _eval_report_dict(args, scheme, report, rows)
     if args.format == "json":
         text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     else:
@@ -251,9 +247,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_checklist(args: argparse.Namespace) -> int:
-    suite = load_suite(args.suite if args.suite is not None else default_suite_path())
-    keys = ("normalizer", "dictionary", "lexicon", "weights", "workers")
-    normalizer = build_normalizer(build_config({key: getattr(args, key) for key in keys}))
+    config = _config(args)
+    suite = load_suite(config.suite)
+    normalizer = build_normalizer(config)
     report = run_suite(normalizer, suite)
     rendered = render_report(report, args.format)
     if args.report is not None:
@@ -263,23 +259,7 @@ def _cmd_checklist(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "dictionary",
-            "lexicon",
-            "eval_original",
-            "eval_gold",
-            "suite",
-            "predictions",
-            "output_dir",
-            "seed",
-            "normalizer",
-            "weights",
-            "workers",
-        )
-    }
-    config = build_config(overrides, config_file=args.config)
+    config = _config(args, args.config)
     if config.suite is None:
         config.suite = default_suite_path()
     for key in ("eval_original", "eval_gold"):

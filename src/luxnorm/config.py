@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from luxnorm.align import ScoringScheme
 from luxnorm.errors import ConfigError
 from luxnorm.normalize import PipelineConfig
-
-DEFAULT_SEED = 42
-DEFAULT_WEIGHTS = (0.4, 0.2, 0.2, 0.2)
 
 # config keys that name input files and must exist once validated
 _PATH_KEYS = ("dictionary", "lexicon", "eval_original", "eval_gold", "suite", "predictions")
@@ -22,7 +19,7 @@ _PATH_KEYS = ("dictionary", "lexicon", "eval_original", "eval_gold", "suite", "p
 class RunConfig:
     """Everything a full experiment run needs, recorded into its report."""
 
-    seed: int = DEFAULT_SEED
+    seed: int = 42
     dictionary: Path | None = None
     lexicon: Path | None = None
     eval_original: Path | None = None
@@ -31,14 +28,20 @@ class RunConfig:
     predictions: Path | None = None
     output_dir: Path = Path("luxnorm-out")
     normalizer: str = "pipeline"  # pipeline | identity | cmd:<command line>
-    weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
-    match_bonus: float = 1.0
-    mismatch_penalty: float = -1.0
-    gap_penalty: float = -0.5
-    ngram_n: int = 3
-    topk: int = 10
-    max_edit_distance: int = 2
+    weights: tuple[float, float, float, float] = PipelineConfig.weights
+    match_bonus: float = ScoringScheme.match_bonus
+    mismatch_penalty: float = ScoringScheme.mismatch_penalty
+    gap_penalty: float = ScoringScheme.gap_penalty
+    ngram_n: int = PipelineConfig.ngram_n
+    topk: int = PipelineConfig.topk
+    max_edit_distance: int = PipelineConfig.max_edit_distance
     workers: int = 1
+
+    def pipeline_config(self) -> PipelineConfig:
+        return PipelineConfig(self.weights, self.max_edit_distance, self.ngram_n, self.topk)
+
+    def scheme(self) -> ScoringScheme:
+        return ScoringScheme(self.match_bonus, self.mismatch_penalty, self.gap_penalty)
 
     def to_dict(self) -> dict:
         snapshot = {}
@@ -105,8 +108,8 @@ def build_config(overrides: dict, config_file: str | Path | None = None) -> RunC
     if config.seed < 0 or config.seed > 2**64 - 1:
         raise ConfigError("seed must fit in 64 bits")
     try:
-        ScoringScheme(config.match_bonus, config.mismatch_penalty, config.gap_penalty)
-        PipelineConfig(config.weights, config.max_edit_distance, config.ngram_n, config.topk)
+        config.scheme()
+        config.pipeline_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return config

@@ -60,10 +60,6 @@ class VariantDictionary:
                 fold[key] = lemma
         self._fold = fold
 
-    @property
-    def total_lemmas(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, lemma: str) -> bool:
         return lemma in self._entries
 
@@ -182,12 +178,6 @@ class ReverseIndex:
         for folded in fold.values():
             folded.sort(key=lambda pair: (-pair[1], pair[0]))
         self._fold = fold
-
-    def __contains__(self, variant: str) -> bool:
-        return variant in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
 
     def lookup(self, variant: str) -> list[tuple[str, int]]:
         """Lemmas attested for this exact variant, count-descending."""

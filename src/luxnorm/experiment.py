@@ -14,18 +14,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from luxnorm import __version__
-from luxnorm.align import ScoringScheme
 from luxnorm.checklist import SuiteReport, load_suite, render_report, run_suite
 from luxnorm.config import RunConfig, effective_workers
 from luxnorm.dictionary import build_reverse_index, load_dictionary
 from luxnorm.errors import ConfigError, LuxnormError, ProtocolError
 from luxnorm.metrics import MetricsReport, evaluate_sentences
-from luxnorm.normalize import (
-    Pipeline,
-    PipelineConfig,
-    load_lexicon,
-    run_external_normalizer,
-)
+from luxnorm.normalize import Pipeline, load_lexicon, run_external_normalizer
 
 
 class StageError(LuxnormError):
@@ -94,16 +88,7 @@ def build_normalizer(config: RunConfig):
             raise ConfigError(f"the pipeline normalizer requires {flag}")
     dictionary = load_dictionary(config.dictionary)
     lexicon = load_lexicon(config.lexicon)
-    pipeline = Pipeline(
-        build_reverse_index(dictionary),
-        lexicon,
-        PipelineConfig(
-            weights=config.weights,
-            max_edit_distance=config.max_edit_distance,
-            ngram_n=config.ngram_n,
-            topk=config.topk,
-        ),
-    )
+    pipeline = Pipeline(build_reverse_index(dictionary), lexicon, config.pipeline_config())
     return lambda sentences: pipeline.normalize_lines(sentences, workers=workers)
 
 
@@ -113,7 +98,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     Any stage failure raises StageError with the stage name; artifacts
     written by completed stages stay in the output directory.
     """
-    scheme = ScoringScheme(config.match_bonus, config.mismatch_penalty, config.gap_penalty)
+    scheme = config.scheme()
 
     def stage(name: str, fn):
         try:

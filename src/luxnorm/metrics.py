@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from luxnorm.align import GAP, Alignment, ScoringScheme, align_triple, levenshtein
+from luxnorm.align import GAP, DEFAULT_SCHEME, Alignment, ScoringScheme, align_triple, levenshtein
 from luxnorm.tokenizer import tokenize
 
 
@@ -171,7 +171,7 @@ def evaluate_sentences(
     original: Sequence[str],
     predicted: Sequence[str],
     gold: Sequence[str],
-    scheme: ScoringScheme | None = None,
+    scheme: ScoringScheme = DEFAULT_SCHEME,
     double_count_miscorrections: bool = False,
 ) -> tuple[MetricsReport, list[SentenceEvaluation]]:
     """Align and score a batch of sentences; the full evaluation pass.
@@ -186,7 +186,6 @@ def evaluate_sentences(
         )
     if not original:
         raise ValueError("cannot evaluate an empty sentence batch")
-    scheme = scheme or ScoringScheme()
     all_judgments: list[Judgment] = []
     per_sentence: list[SentenceEvaluation] = []
     for index, (orig, pred, ref) in enumerate(zip(original, predicted, gold)):

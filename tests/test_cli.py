@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
+from dataclasses import fields
 
 import pytest
 
 from conftest import distant_vocabulary, make_dictionary, mutate_word
-from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, main
+from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, build_parser, main
 from luxnorm.config import ConfigError, RunConfig, build_config, effective_workers
 from luxnorm.experiment import StageError, run_experiment
 
@@ -163,6 +165,31 @@ class TestAlignCommand:
         )
 
 
+# `eval` on the workspace with default flags: the leave-as-is baseline
+PINNED_EVAL_REPORT = """\
+{
+  "double_count_miscorrections": false,
+  "metrics": {
+    "accuracy": 0.8333333333333334,
+    "cer": 0.02643171806167401,
+    "err": 0.0,
+    "f1": null,
+    "fn": 12,
+    "fp": 0,
+    "precision": null,
+    "recall": 0.0,
+    "tn": 60,
+    "tp": 0
+  },
+  "scoring_scheme": {
+    "gap_penalty": -0.5,
+    "match_bonus": 1.0,
+    "mismatch_penalty": -1.0
+  }
+}
+"""
+
+
 class TestEvalCommand:
     def test_json_report(self, workspace, tmp_path):
         report = tmp_path / "report.json"
@@ -179,6 +206,20 @@ class TestEvalCommand:
         data = json.loads(report.read_text())
         assert data["metrics"]["err"] == 1.0
         assert data["metrics"]["cer"] == 0.0
+
+    def test_default_report_bytes(self, workspace, tmp_path):
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "eval",
+                "--orig", str(workspace["orig"]),
+                "--pred", str(workspace["orig"]),
+                "--gold", str(workspace["gold"]),
+                "--report", str(report),
+            ]
+        )
+        assert code == EXIT_OK
+        assert report.read_text(encoding="utf-8") == PINNED_EVAL_REPORT
 
     def test_tsv_report_with_verbose(self, workspace, tmp_path):
         report = tmp_path / "report.tsv"
@@ -376,21 +417,56 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 build_config({key: value})
 
-    def test_pipeline_subcommand_flags_are_validated(self, workspace, tmp_path):
-        # normalize and checklist build their configuration like run does
+    def test_pipeline_subcommand_flags_are_validated(self, workspace, tmp_path, capsys):
+        # every subcommand builds its configuration like run does
         inputs = ["--dict", str(workspace["dict"]), "--lexicon", str(workspace["lexicon"])]
         normalize = ["normalize", "--in", str(workspace["orig"]), "--out", str(tmp_path / "o.txt")]
         missing = ["--dict", str(tmp_path / "absent.tsv"), "--lexicon", str(workspace["lexicon"])]
-        for argv in (
-            normalize + inputs + ["--topk", "-1"],
-            normalize + inputs + ["--ngram-n", "0"],
-            normalize + inputs + ["--workers", "0"],
-            normalize + inputs + ["--weights=-1,0,0,0"],
-            normalize + missing,
-            ["checklist", *inputs, "--workers", "0"],
-            ["checklist", *missing],
+        triple = ["--orig", str(workspace["orig"]), "--pred", str(workspace["orig"]),
+                  "--gold", str(workspace["gold"])]
+        synth = ["synth", "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "p.jsonl")]
+        for argv, key in (
+            (normalize + inputs + ["--topk", "-1"], "topk"),
+            (normalize + inputs + ["--ngram-n", "0"], "ngram_n"),
+            (normalize + inputs + ["--workers", "0"], "workers"),
+            (normalize + inputs + ["--weights=-1,0,0,0"], "weights"),
+            (normalize + inputs + ["--max-edit-distance", "3"], "max_edit_distance"),
+            (normalize + missing, "dictionary"),
+            (["checklist", *inputs, "--workers", "0"], "workers"),
+            (["checklist", *missing], "dictionary"),
+            (["checklist", "--normalizer", "identity", "--suite", str(tmp_path / "no.tsv")],
+             "suite"),
+            (["eval", *triple, "--gap-penalty", "1"], "gap_penalty"),
+            (["align", *triple, "--dump", str(tmp_path / "d.tsv"), "--mismatch-penalty", "2"],
+             "mismatch_penalty"),
+            (synth + ["--dict", str(workspace["dict"]), "--workers", "0"], "workers"),
+            (synth + ["--dict", str(workspace["dict"]), "--seed", "-1"], "seed"),
+            (synth + ["--dict", str(tmp_path / "absent.tsv")], "dictionary"),
         ):
             assert main(argv) == EXIT_CONFIG, argv
+            assert key in capsys.readouterr().err, argv
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_run_config_flags_have_no_parser_default(self):
+        # an unset flag must fall through to the config file and RunConfig
+        names = {spec.name for spec in fields(RunConfig)}
+        pending = [build_parser()]
+        while pending:
+            parser = pending.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    pending.extend(action.choices.values())
+                elif action.dest in names:
+                    assert action.default is None, (parser.prog, action.dest)
+
+    def test_negative_weights_need_the_equals_form(self, workspace, tmp_path):
+        # argparse reads a separate "-1,0,0,0" as an option, so it exits 2 itself
+        argv = ["normalize", "--dict", str(workspace["dict"]), "--lexicon",
+                str(workspace["lexicon"]), "--in", str(workspace["orig"]),
+                "--out", str(tmp_path / "o.txt"), "--weights", "-1,0,0,0"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_CONFIG
 
     def test_thread_cap(self, monkeypatch):
         monkeypatch.setenv("LUXNORM_THREADS", "2")

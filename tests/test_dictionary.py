@@ -28,13 +28,13 @@ class TestLoadDictionary:
     def test_counts_become_probabilities(self, tmp_path):
         path = write_dict(tmp_path, "Mëllech\tMellech\t120\nMëllech\tMillech\t30\n")
         dictionary = load_dictionary(path)
-        assert dictionary.total_lemmas == 1
+        assert len(dictionary) == 1
         probs = dictionary.probabilities("Mëllech")
         assert probs == {"Mellech": Fraction(4, 5), "Millech": Fraction(1, 5)}
 
     def test_identity_variant(self, tmp_path):
         dictionary = load_dictionary(write_dict(tmp_path, "a\ta\t5\n"))
-        assert dictionary.total_lemmas == 1
+        assert len(dictionary) == 1
         assert dictionary.probabilities("a") == {"a": Fraction(1)}
 
     def test_duplicate_lines_sum_counts(self, tmp_path):
