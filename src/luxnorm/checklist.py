@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from luxnorm.align import GAP, ScoringScheme, needleman_wunsch
-from luxnorm.errors import ParseError
+from luxnorm.errors import ParseError, parse_int, read_tsv
 from luxnorm.metrics import nfc
 from luxnorm.tokenizer import splice, tokenize
 
@@ -102,68 +102,50 @@ def load_suite(path: str | Path | None = None) -> TestSuite:
     path = Path(path) if path is not None else default_suite_path()
     units: list[TestUnit] = []
     categories: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 7:
+    for lineno, fields in read_tsv(path, 7):
+        category, setup_text, sentence, index_text, expected, gloss, provenance = fields
+        if not category or not sentence:
+            raise ParseError("empty category or sentence", path=str(path), line=lineno)
+        try:
+            setup = Setup(setup_text)
+        except ValueError:
+            raise ParseError(
+                f"setup must be CORRECT or PRESERVE, got {setup_text!r}",
+                path=str(path),
+                line=lineno,
+            ) from None
+        if setup is Setup.CORRECT:
+            if not expected:
+                raise ParseError("CORRECT unit without expected form", path=str(path), line=lineno)
+            target_index = parse_int(index_text, "target_index", path, lineno)
+            tokens = tokenize(sentence)
+            if not 0 <= target_index < len(tokens):
                 raise ParseError(
-                    f"expected 7 tab-separated fields, got {len(fields)}",
+                    f"target_index {target_index} out of range for {len(tokens)} tokens",
                     path=str(path),
                     line=lineno,
                 )
-            category, setup_text, sentence, index_text, expected, gloss, provenance = fields
-            if not category or not sentence:
-                raise ParseError("empty category or sentence", path=str(path), line=lineno)
-            try:
-                setup = Setup(setup_text)
-            except ValueError:
+            if tokens[target_index] == expected:
                 raise ParseError(
-                    f"setup must be CORRECT or PRESERVE, got {setup_text!r}",
+                    f"target token already equals expected form {expected!r}; "
+                    "the corruption is missing",
                     path=str(path),
                     line=lineno,
-                ) from None
-            if setup is Setup.CORRECT:
-                if not expected:
-                    raise ParseError("CORRECT unit without expected form", path=str(path), line=lineno)
-                try:
-                    target_index = int(index_text)
-                except ValueError:
-                    raise ParseError(
-                        f"target_index is not an integer: {index_text!r}",
-                        path=str(path),
-                        line=lineno,
-                    ) from None
-                tokens = tokenize(sentence)
-                if not 0 <= target_index < len(tokens):
-                    raise ParseError(
-                        f"target_index {target_index} out of range for {len(tokens)} tokens",
-                        path=str(path),
-                        line=lineno,
-                    )
-                if tokens[target_index] == expected:
-                    raise ParseError(
-                        f"target token already equals expected form {expected!r}; "
-                        "the corruption is missing",
-                        path=str(path),
-                        line=lineno,
-                    )
-                unit = TestUnit(
-                    lineno, category, setup, sentence, target_index, expected, gloss, provenance
                 )
-            else:
-                if index_text or expected:
-                    raise ParseError(
-                        "PRESERVE unit must not set target_index or expected",
-                        path=str(path),
-                        line=lineno,
-                    )
-                unit = TestUnit(lineno, category, setup, sentence, gloss=gloss, provenance=provenance)
-            units.append(unit)
-            if category not in categories:
-                categories.append(category)
+            unit = TestUnit(
+                lineno, category, setup, sentence, target_index, expected, gloss, provenance
+            )
+        else:
+            if index_text or expected:
+                raise ParseError(
+                    "PRESERVE unit must not set target_index or expected",
+                    path=str(path),
+                    line=lineno,
+                )
+            unit = TestUnit(lineno, category, setup, sentence, gloss=gloss, provenance=provenance)
+        units.append(unit)
+        if category not in categories:
+            categories.append(category)
     if not units:
         raise ParseError("suite file contains no units", path=str(path))
     suite = TestSuite(units, categories)
@@ -298,43 +280,27 @@ def _run_normalizer(normalizer: Normalizer, sentences: list[str]) -> list[str | 
     return outputs
 
 
-def run_correct_setup(
-    normalizer: Normalizer, units: Sequence[TestUnit]
+def _preserve_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
+    """Judge one PRESERVE unit: the output must equal the input, up to
+    whitespace and NFC; no collateral count applies."""
+    return _canonical(produced) == _canonical(unit.sentence), 0
+
+
+def _tally(
+    units: Sequence[TestUnit],
+    outputs: Sequence[str | None],
+    judge: Callable[[TestUnit, str], tuple[bool, int]],
 ) -> dict[str, CellResult]:
-    """Score CORRECT units per category: was the planted error fixed?"""
-    assert all(u.setup is Setup.CORRECT for u in units)
-    outputs = _run_normalizer(normalizer, [u.sentence for u in units])
+    """Score each unit's output per category; a None output fails as `<error>`."""
     results: dict[str, CellResult] = {}
     for unit, produced in zip(units, outputs):
         cell = results.setdefault(unit.category, CellResult())
         cell.total += 1
-        if produced is None:
-            cell.failures.append(
-                UnitFailure(unit.unit_id, unit.category, unit.setup, unit.sentence, "<error>")
-            )
-            continue
-        success, collateral = _correct_unit_passes(unit, produced)
-        cell.collateral_changes += collateral
+        success = False
+        if produced is not None:
+            success, collateral = judge(unit, produced)
+            cell.collateral_changes += collateral
         if success:
-            cell.successes += 1
-        else:
-            cell.failures.append(
-                UnitFailure(unit.unit_id, unit.category, unit.setup, unit.sentence, produced)
-            )
-    return results
-
-
-def run_preserve_setup(
-    normalizer: Normalizer, units: Sequence[TestUnit]
-) -> dict[str, CellResult]:
-    """Score PRESERVE units per category: did correct input survive?"""
-    assert all(u.setup is Setup.PRESERVE for u in units)
-    outputs = _run_normalizer(normalizer, [u.sentence for u in units])
-    results: dict[str, CellResult] = {}
-    for unit, produced in zip(units, outputs):
-        cell = results.setdefault(unit.category, CellResult())
-        cell.total += 1
-        if produced is not None and _canonical(produced) == _canonical(unit.sentence):
             cell.successes += 1
         else:
             cell.failures.append(
@@ -349,13 +315,30 @@ def run_preserve_setup(
     return results
 
 
+def run_correct_setup(
+    units: Sequence[TestUnit], outputs: Sequence[str | None]
+) -> dict[str, CellResult]:
+    """Score CORRECT units per category: was the planted error fixed?"""
+    assert all(u.setup is Setup.CORRECT for u in units)
+    return _tally(units, outputs, _correct_unit_passes)
+
+
+def run_preserve_setup(
+    units: Sequence[TestUnit], outputs: Sequence[str | None]
+) -> dict[str, CellResult]:
+    """Score PRESERVE units per category: did correct input survive?"""
+    assert all(u.setup is Setup.PRESERVE for u in units)
+    return _tally(units, outputs, _preserve_unit_passes)
+
+
 def run_suite(normalizer: Normalizer, suite: TestSuite) -> SuiteReport:
-    """Run both setups over the whole suite."""
+    """Normalize every unit in one batch, then score both setups."""
+    outputs = _run_normalizer(normalizer, [u.sentence for u in suite.units])
     report = SuiteReport(categories=list(suite.categories), cells={})
-    for category, cell in run_correct_setup(normalizer, suite.select(Setup.CORRECT)).items():
-        report.cells[(category, Setup.CORRECT)] = cell
-    for category, cell in run_preserve_setup(normalizer, suite.select(Setup.PRESERVE)).items():
-        report.cells[(category, Setup.PRESERVE)] = cell
+    for setup, score in ((Setup.CORRECT, run_correct_setup), (Setup.PRESERVE, run_preserve_setup)):
+        chosen = [i for i, unit in enumerate(suite.units) if unit.setup is setup]
+        cells = score([suite.units[i] for i in chosen], [outputs[i] for i in chosen])
+        report.cells.update(((category, setup), cell) for category, cell in cells.items())
     return report
 
 

@@ -285,7 +285,7 @@ _COMMANDS = {
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, StageError):
         return _exit_code_for(exc.cause)
-    if isinstance(exc, ConfigError):
+    if isinstance(exc, (ConfigError, FileNotFoundError)):
         return EXIT_CONFIG
     if isinstance(exc, ProtocolError):
         return EXIT_PROTOCOL

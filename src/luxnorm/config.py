@@ -84,10 +84,6 @@ def build_config(overrides: dict, config_file: str | Path | None = None) -> RunC
     for key, value in overrides.items():
         if value is not None:
             values.update({key: value})
-    known = {spec.name for spec in fields(RunConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
     for key in _PATH_KEYS:
         if values.get(key) is not None:
             values[key] = Path(values[key])

@@ -2,9 +2,10 @@
 
 The resource maps each standard written form to the non-standard
 spellings observed for it, together with how often each spelling was
-used. File format is TSV: `lemma<TAB>variant<TAB>count`, UTF-8, with
-`#` comment lines. Dictionaries are immutable after loading and safe
-to share across workers; sampling uses a caller-owned random stream.
+used. File format is TSV: `lemma<TAB>variant<TAB>count`, UTF-8; blank
+lines and `#` comment lines are skipped. Dictionaries are immutable after
+loading and safe to share across workers; sampling uses a caller-owned
+random stream.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from luxnorm.errors import DictionaryLookupError, ParseError
+from luxnorm.errors import DictionaryLookupError, ParseError, parse_int, read_tsv
 
 
 @dataclass(frozen=True)
@@ -119,39 +120,21 @@ class VariantDictionary:
 def load_dictionary(path: str | Path) -> VariantDictionary:
     """Load and validate a TSV variant dictionary.
 
-    Duplicate (lemma, variant) lines have their counts summed. Lines
-    starting with `#` are ignored. Raises ParseError with the offending
-    line number for malformed input, and on empty files.
+    Duplicate (lemma, variant) lines have their counts summed. Blank lines
+    and lines starting with `#` are ignored. Raises ParseError with the
+    offending line number for malformed input, and on empty files.
     """
-    path = Path(path)
     merged: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(fields)}",
-                    path=str(path),
-                    line=lineno,
-                )
-            lemma, variant, count_text = fields
-            if not lemma:
-                raise ParseError("empty lemma", path=str(path), line=lineno)
-            if not variant:
-                raise ParseError("empty variant", path=str(path), line=lineno)
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise ParseError(
-                    f"count is not an integer: {count_text!r}", path=str(path), line=lineno
-                ) from None
-            if count < 1:
-                raise ParseError(f"non-positive count: {count}", path=str(path), line=lineno)
-            merged.setdefault(lemma, {})
-            merged[lemma][variant] = merged[lemma].get(variant, 0) + count
+    for lineno, (lemma, variant, count_text) in read_tsv(path, 3):
+        if not lemma:
+            raise ParseError("empty lemma", path=str(path), line=lineno)
+        if not variant:
+            raise ParseError("empty variant", path=str(path), line=lineno)
+        count = parse_int(count_text, "count", path, lineno)
+        if count < 1:
+            raise ParseError(f"non-positive count: {count}", path=str(path), line=lineno)
+        merged.setdefault(lemma, {})
+        merged[lemma][variant] = merged[lemma].get(variant, 0) + count
     if not merged:
         raise ParseError("dictionary file contains no entries", path=str(path))
     entries = {

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from luxnorm.dictionary import ReverseIndex
-from luxnorm.errors import ParseError, ProtocolError
+from luxnorm.errors import ParseError, ProtocolError, parse_int, read_tsv
 from luxnorm.parallel import ordered_map
 from luxnorm.tokenizer import (
     apply_case_pattern,
@@ -101,31 +101,13 @@ class Lexicon:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Load `word<TAB>count` TSV; `#` comments allowed, duplicates summed."""
-    path = Path(path)
+    """Load `word<TAB>count` TSV; blank and `#` lines skipped, duplicates summed."""
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"expected 2 tab-separated fields, got {len(fields)}",
-                    path=str(path),
-                    line=lineno,
-                )
-            word, count_text = fields
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise ParseError(
-                    f"count is not an integer: {count_text!r}", path=str(path), line=lineno
-                ) from None
-            if not word or count < 1:
-                raise ParseError("empty form or non-positive count", path=str(path), line=lineno)
-            counts[word] = counts.get(word, 0) + count
+    for lineno, (word, count_text) in read_tsv(path, 2):
+        count = parse_int(count_text, "count", path, lineno)
+        if not word or count < 1:
+            raise ParseError("empty form or non-positive count", path=str(path), line=lineno)
+        counts[word] = counts.get(word, 0) + count
     if not counts:
         raise ParseError("lexicon file contains no entries", path=str(path))
     return Lexicon(counts)
@@ -317,12 +299,11 @@ class Pipeline:
         reverse_index: ReverseIndex,
         lexicon: Lexicon,
         config: PipelineConfig | None = None,
-        ngram_index: NgramIndex | None = None,
     ):
         self.config = config or PipelineConfig()
         self.reverse_index = reverse_index
         self.lexicon = lexicon
-        self.ngram_index = ngram_index or NgramIndex(lexicon, self.config.ngram_n)
+        self.ngram_index = NgramIndex(lexicon, self.config.ngram_n)
         self._token_cache: dict[str, str] = {}
 
     def candidates(self, token: str) -> dict[str, list[float]]:

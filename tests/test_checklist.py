@@ -25,6 +25,10 @@ def identity(sentences):
     return list(sentences)
 
 
+def outputs(normalizer, units):
+    return normalizer([unit.sentence for unit in units])
+
+
 def make_gold_oracle(suite):
     gold = {unit.sentence: unit.gold_sentence() for unit in suite.units}
     return lambda sentences: [gold.get(s, s) for s in sentences]
@@ -106,13 +110,15 @@ class TestLoadSuite:
 
 class TestRunSetups:
     def test_identity_scores_zero_on_correct(self, suite):
-        results = run_correct_setup(identity, suite.select(Setup.CORRECT))
+        units = suite.select(Setup.CORRECT)
+        results = run_correct_setup(units, outputs(identity, units))
         for category, cell in results.items():
             assert cell.successes == 0, category
             assert cell.total == 10
 
     def test_identity_scores_full_on_preserve(self, suite):
-        results = run_preserve_setup(identity, suite.select(Setup.PRESERVE))
+        units = suite.select(Setup.PRESERVE)
+        results = run_preserve_setup(units, outputs(identity, units))
         for category, cell in results.items():
             assert cell.successes == cell.total == 10, category
 
@@ -125,7 +131,8 @@ class TestRunSetups:
 
     def test_lowercasing_normalizer_fails_preserve(self, suite):
         lowercase = lambda sentences: [s.lower() for s in sentences]
-        results = run_preserve_setup(lowercase, suite.select(Setup.PRESERVE, "Quantity Rule"))
+        units = suite.select(Setup.PRESERVE, "Quantity Rule")
+        results = run_preserve_setup(units, outputs(lowercase, units))
         assert results["Quantity Rule"].successes == 0
 
     def test_unit_order_does_not_change_rates(self, suite):
@@ -133,8 +140,8 @@ class TestRunSetups:
         oracle = make_gold_oracle(suite)
         shuffled = list(units)
         random.Random(3).shuffle(shuffled)
-        direct = run_correct_setup(oracle, units)
-        permuted = run_correct_setup(oracle, shuffled)
+        direct = run_correct_setup(units, outputs(oracle, units))
+        permuted = run_correct_setup(shuffled, outputs(oracle, shuffled))
         for category in direct:
             assert direct[category].successes == permuted[category].successes
 
@@ -150,7 +157,7 @@ class TestRunSetups:
                 out.append(fixed if sentence == unit.sentence else sentence)
             return out
 
-        results = run_correct_setup(vandal, [unit])
+        results = run_correct_setup([unit], outputs(vandal, [unit]))
         cell = results[unit.category]
         assert cell.successes == 1
         assert cell.collateral_changes >= 1
@@ -164,15 +171,22 @@ class TestRunSetups:
                 raise RuntimeError("boom")
             return [s for s in sentences]
 
-        results = run_correct_setup(flaky, [unit, other])
-        cell = results[unit.category]
+        report = run_suite(flaky, TestSuite([unit, other], [unit.category]))
+        cell = report.cell(unit.category, Setup.CORRECT)
         assert cell.total == 2
         failures = {f.produced for f in cell.failures}
         assert "<error>" in failures
 
+    def test_missing_output_fails_as_error(self, suite):
+        for setup, score in ((Setup.CORRECT, run_correct_setup), (Setup.PRESERVE, run_preserve_setup)):
+            unit = suite.select(setup)[0]
+            cell = score([unit], [None])[unit.category]
+            assert (cell.total, cell.successes) == (1, 0)
+            assert [f.produced for f in cell.failures] == ["<error>"]
+
     def test_failures_carry_reproduction_data(self, suite):
         units = suite.select(Setup.CORRECT, "Diphthongs")
-        results = run_correct_setup(identity, units)
+        results = run_correct_setup(units, outputs(identity, units))
         for failure in results["Diphthongs"].failures:
             assert failure.unit_id > 0
             assert failure.sentence

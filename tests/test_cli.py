@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import shlex
 import sys
 from dataclasses import fields
 
@@ -260,10 +261,17 @@ class TestChecklistCommand:
         assert "--dict" in capsys.readouterr().err
 
     def test_external_command_normalizer(self, tmp_path):
-        identity_cmd = f"cmd:{sys.executable} -c 'import sys; sys.stdout.write(sys.stdin.read())'"
+        # the whole suite goes to the command in one batch: one launch
+        launches = tmp_path / "launches.txt"
+        script = (
+            f"import sys; open({str(launches)!r}, 'a').write('launch\\n'); "
+            "sys.stdout.write(sys.stdin.read())"
+        )
+        identity_cmd = f"cmd:{sys.executable} -c {shlex.quote(script)}"
         report = tmp_path / "suite.tsv"
         code = main(["checklist", "--normalizer", identity_cmd, "--report", str(report), "--format", "tsv"])
         assert code == EXIT_OK
+        assert launches.read_text(encoding="utf-8") == "launch\n"
 
     def test_unknown_normalizer_is_config_error(self):
         assert main(["checklist", "--normalizer", "telepathy"]) == EXIT_CONFIG
@@ -379,6 +387,25 @@ class TestConfig:
         config_file.write_text(json.dumps({"sede": 1}))
         with pytest.raises(ConfigError, match="sede"):
             build_config({}, config_file=config_file)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dict", "validate", "{missing}"],
+            ["synth", "--dict", "{dict}", "--corpus", "{missing}", "--out", "{dir}/p.jsonl"],
+            ["normalize", "--dict", "{dict}", "--lexicon", "{lexicon}", "--in", "{missing}",
+             "--out", "{dir}/o.txt"],
+            ["align", "--orig", "{missing}", "--pred", "{orig}", "--gold", "{gold}",
+             "--dump", "{dir}/d.tsv"],
+            ["eval", "--orig", "{missing}", "--pred", "{orig}", "--gold", "{gold}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_input_file_is_config_error(self, workspace, capsys, argv):
+        # the same exit code as a missing path in `run`'s settings
+        missing = workspace["dir"] / "absent.txt"
+        assert main([arg.format(**workspace, missing=missing) for arg in argv]) == EXIT_CONFIG
+        assert str(missing) in capsys.readouterr().err
 
     def test_missing_path_named(self, tmp_path):
         with pytest.raises(ConfigError, match="dictionary"):
