@@ -51,9 +51,15 @@ def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace, config_file: Path | None = None) -> RunConfig:
-    """The subcommand's settings: its flags over the config file over the defaults."""
+    """The subcommand's settings: its flags over the config file over the
+    defaults. Output directories are checked too, before any input is read."""
     names = (spec.name for spec in dataclasses.fields(RunConfig))
-    return build_config({name: getattr(args, name, None) for name in names}, config_file)
+    config = build_config({name: getattr(args, name, None) for name in names}, config_file)
+    for flag in ("out", "stats", "dump", "report"):  # output flags, dest == flag name
+        path = getattr(args, flag, None)
+        if path is not None and not path.parent.is_dir():
+            raise ConfigError(f"--{flag}: no such directory: {path.parent}")
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:

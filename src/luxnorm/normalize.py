@@ -12,6 +12,7 @@ line on stdin, exactly one normalized sentence per line on stdout.
 
 from __future__ import annotations
 
+import heapq
 import math
 import shlex
 import subprocess
@@ -54,22 +55,21 @@ class Lexicon:
             key = word.casefold()
             self._fold_counts[key] = self._fold_counts.get(key, 0) + count
         self._max_fold_count = max(self._fold_counts.values()) if counts else 1
-        self._deletes_index: dict[str, list[str]] | None = None
+        self._trie: dict | None = None
 
-    def deletes_index(self) -> dict[str, list[str]]:
-        """Map every <=2-character deletion of every form back to the forms.
-
-        Built lazily; used to shortlist edit candidates without enumerating
-        the two-edit neighborhood of a query token. Two strings within two
-        single edits always share a <=2-deletion.
-        """
-        if self._deletes_index is None:
-            index: dict[str, list[str]] = {}
+    def deletes_index(self) -> dict:
+        """The forms' character trie, built lazily: each node maps a character
+        to the next node and holds its form, if any, under the key "". The
+        name of the deletes index it replaced stays for the benchmark hook."""
+        if self._trie is None:
+            root: dict = {}
             for word in self._counts:
-                for variant in _deletes_up_to_two(word):
-                    index.setdefault(variant, []).append(word)
-            self._deletes_index = index
-        return self._deletes_index
+                node = root
+                for char in word:
+                    node = node.setdefault(char, {})
+                node[""] = word
+            self._trie = root
+        return self._trie
 
     def __contains__(self, word: str) -> bool:
         return word in self._counts
@@ -129,7 +129,6 @@ class NgramIndex:
         if n < 1:
             raise ValueError("n-gram size must be >= 1")
         self.n = n
-        self._lexicon = lexicon
         words = sorted(lexicon)
         df: dict[str, int] = {}
         profiles: list[dict[str, int]] = []
@@ -145,6 +144,7 @@ class NgramIndex:
             gram: math.log((1 + total) / (1 + count)) + 1.0 for gram, count in df.items()
         }
         self._words = words
+        self._counts = [lexicon.count(word) for word in words]
         self._norms: list[float] = []
         self._postings: dict[str, list[tuple[int, float]]] = {}
         for word_id, tf in enumerate(profiles):
@@ -179,13 +179,13 @@ class NgramIndex:
         for gram, weight in query.items():
             for word_id, posting_weight in self._postings.get(gram, ()):
                 dots[word_id] = dots.get(word_id, 0.0) + weight * posting_weight
-        scored = [
-            (self._words[word_id], dot / (qnorm * self._norms[word_id]))
+        scored = (
+            (-dot / (qnorm * self._norms[word_id]), -self._counts[word_id], self._words[word_id])
             for word_id, dot in dots.items()
             if dot > 0.0
-        ]
-        scored.sort(key=lambda item: (-item[1], -self._lexicon.count(item[0]), item[0]))
-        return scored[:k]
+        )
+        # (-cosine, -count, word) is a total order, so no sort is needed
+        return [(word, -cosine) for cosine, _, word in heapq.nsmallest(k, scored)]
 
 
 def ngram_candidates(token: str, index: NgramIndex, k: int) -> list[tuple[str, float]]:
@@ -193,51 +193,52 @@ def ngram_candidates(token: str, index: NgramIndex, k: int) -> list[tuple[str, f
     return index.rank(token, k)
 
 
-def _deletes_up_to_two(word: str) -> set[str]:
-    ones = {word[:i] + word[i + 1:] for i in range(len(word))}
-    twos = {v[:i] + v[i + 1:] for v in ones for i in range(len(v))}
-    return {word} | ones | twos
-
-
 _ALPHABET_SET = frozenset(LUX_ALPHABET)
 
 
-def _within_edits(token: str, form: str, budget: int) -> bool:
-    """True if at most `budget` (<= 2) single edits turn `token` into `form`.
+def _walk(node: dict, token: str, i: int, budget: int, spent: int, found: dict[str, int]) -> None:
+    """Record in `found` every form below `node` within `budget` edits of
+    `token[i:]`, at `spent` plus its fewest edits.
 
-    Deletions and adjacent transpositions may touch any character;
-    insertions and substitutions write only alphabet characters. Edits
-    compose freely (unrestricted Damerau-Levenshtein), so a character can
-    be edited twice. After the common prefix is stripped, some edit changes
-    the first differing position: either the first edit makes it right, or
-    a delete or transpose just behind it lets a second transpose make it
-    right (`2Ab` -> `2b` -> `b2`, `aa-` -> `a-a` -> `-aa`).
+    The greedy match down the token is a loop; recursion happens only on
+    an edit, so it is at most budget + 1 deep. Some edit changes the first
+    position where a form leaves the token's path, so edits are tried at
+    the nodes of the match: delete or transpose any character, insert or
+    substitute an alphabet character, and at budget 2 move `token[i + 2]`
+    before `token[i]` after deleting or moving `token[i + 1]`, as edits
+    compose freely (`2Ab` -> `2b` -> `b2`, `aa-` -> `a-a` -> `-aa`).
     """
-    start = 0
-    while start < len(token) and start < len(form) and token[start] == form[start]:
-        start += 1
-    token, form = token[start:], form[start:]
-    if token == form:
-        return True
-    if budget == 0:
-        return False
-    rest = budget - 1
-    if token and _within_edits(token[1:], form, rest):  # delete
-        return True
-    if form and form[0] in _ALPHABET_SET:
-        if _within_edits(token, form[1:], rest):  # insert
-            return True
-        if token and _within_edits(token[1:], form[1:], rest):  # substitute
-            return True
-    if len(token) > 1 and token[1] == form[:1]:
-        if _within_edits(token[0] + token[2:], form[1:], rest):  # transpose
-            return True
-    if rest and len(token) > 2:
-        # delete token[1] or transpose token[1:3], then transpose token[0] forward
-        return _within_edits(token[2] + token[0] + token[3:], form, rest - 1) or _within_edits(
-            token[2] + token[0] + token[1] + token[3:], form, rest - 1
-        )
-    return False
+    end = len(token)
+    while True:
+        if budget:
+            head = token[i : i + 1]
+            rest, cost = budget - 1, spent + 1
+            after = "" if rest else token[i + 1 : i + 2]  # what a last edit must match next
+            if head and (rest or after in node):
+                _walk(node, token, i + 1, rest, cost, found)  # delete
+            for char, child in node.items():
+                if char in _ALPHABET_SET and char != head:  # the match covers char == head
+                    if rest or head in child:
+                        _walk(child, token, i, rest, cost, found)  # insert
+                    if head and (rest or after in child):
+                        _walk(child, token, i + 1, rest, cost, found)  # substitute
+            if end - i > 1:
+                child = node.get(token[i + 1])
+                if child is not None and token[i + 1] != head and (rest or head in child):
+                    _walk(child, head + token[i + 2 :], 0, rest, cost, found)  # transpose
+                if rest and end - i > 2:
+                    moved = token[i + 2] + head
+                    _walk(node, moved + token[i + 3 :], 0, rest - 1, cost + 1, found)
+                    _walk(node, moved + token[i + 1] + token[i + 3 :], 0, rest - 1, cost + 1, found)
+        if i == end:
+            form = node.get("")
+            if form is not None and found.get(form, spent + 1) > spent:
+                found[form] = spent
+            return
+        node = node.get(token[i])
+        if node is None:
+            return
+        i += 1
 
 
 def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> dict[str, int]:
@@ -247,24 +248,15 @@ def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> dict
     Luxembourgish alphabet, and adjacent transpositions. Each word maps to
     its smallest distance, in (distance, word) order.
 
-    Words within two edits of the token share a <=2-character deletion
-    with it, so the lexicon's deletes index shortlists them for any
-    token; each shortlisted word is then checked by `_within_edits`.
+    One walk of the lexicon's trie finds them (Oflazer, Comput. Linguist.
+    22(1), 1996), at a cost set by the trie nodes near the token's path.
     """
     if not token:
         raise ValueError("cannot generate candidates for an empty token")
     if max_distance not in (1, 2):
         raise ValueError("max_distance must be 1 or 2")
-    index = lexicon.deletes_index()
-    shortlist: set[str] = set()
-    for variant in _deletes_up_to_two(token):
-        shortlist.update(index.get(variant, ()))
     found: dict[str, int] = {}
-    for form in shortlist:
-        for distance in range(max_distance + 1):
-            if _within_edits(token, form, distance):
-                found[form] = distance
-                break
+    _walk(lexicon.deletes_index(), token, 0, max_distance, 0, found)
     return dict(sorted(found.items(), key=lambda item: (item[1], item[0])))
 
 

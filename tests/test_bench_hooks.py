@@ -22,3 +22,10 @@ def test_every_traced_name_resolves(monkeypatch):
             assert hasattr(owner, attr), f"{module_name}.{dotted}"
             owner = getattr(owner, attr)
         assert callable(owner), f"{module_name}.{dotted}"
+
+
+def test_lexicon_index_has_a_length():
+    # the traced run records len() of what `Lexicon.deletes_index` returns
+    from luxnorm.normalize import Lexicon
+
+    assert len(Lexicon({"haus": 1, "hunn": 2, "gutt": 3}).deletes_index()) == 2

@@ -407,6 +407,37 @@ class TestConfig:
         assert main([arg.format(**workspace, missing=missing) for arg in argv]) == EXIT_CONFIG
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["synth", "--dict", "{bad}", "--corpus", "{corpus}", "--out", "{out}/p.jsonl"],
+             "--out"),
+            (["synth", "--dict", "{bad}", "--corpus", "{corpus}", "--out", "{dir}/p.jsonl",
+              "--stats", "{out}/s.json"], "--stats"),
+            (["normalize", "--dict", "{bad}", "--lexicon", "{lexicon}", "--in", "{orig}",
+              "--out", "{out}/o.txt"], "--out"),
+            (["align", "--orig", "{bad}", "--pred", "{orig}", "--gold", "{gold}",
+              "--dump", "{out}/d.tsv"], "--dump"),
+            (["eval", "--orig", "{bad}", "--pred", "{orig}", "--gold", "{gold}",
+              "--report", "{out}/r.json"], "--report"),
+            (["checklist", "--normalizer", "identity", "--suite", "{bad}",
+              "--report", "{out}/r.tsv"], "--report"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else value,
+    )
+    def test_missing_output_directory_is_checked_first(self, workspace, capsys, argv, flag):
+        # `bad` fails to parse (exit 3) once read; a missing output
+        # directory is reported (exit 2) before any input is read
+        bad = workspace["dir"] / "bad.txt"
+        bad.write_bytes(b"\xff\n")
+        absent = workspace["dir"] / "absent"
+        args = [arg.format(**workspace, bad=bad, out=absent) for arg in argv]
+        assert main(args) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not (workspace["dir"] / "p.jsonl").exists()
+        absent.mkdir()
+        assert main(args) == EXIT_DATA
+
     def test_missing_path_named(self, tmp_path):
         with pytest.raises(ConfigError, match="dictionary"):
             build_config({"dictionary": tmp_path / "absent.tsv"})

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,6 +215,33 @@ class TestEditCandidates:
         assert edit_candidates("E-Mal", lexicon, 2) == {"E-Mail": 1}
         assert edit_components("E-Mal", lexicon, 2) == {"E-Mail": 0.5}
 
+    @given(
+        st.text(alphabet="abëA", min_size=1, max_size=8),
+        st.lists(st.text(alphabet="abëA", min_size=1, max_size=10), max_size=40),
+        st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_alphabet_only_matches_damerau_levenshtein(self, token, words, max_distance):
+        # over alphabet letters every edit is allowed, so the walk must
+        # find exactly the forms within the unrestricted distance
+        lexicon = Lexicon({w: 1 for w in words}) if words else Lexicon({"q": 1})
+        distances = {w: damerau_levenshtein(token, w) for w in lexicon}
+        want = sorted((d, w) for w, d in distances.items() if d <= max_distance)
+        got = edit_candidates(token, lexicon, max_distance)
+        assert [(d, w) for w, d in got.items()] == want
+
+    def test_very_long_token_is_fast(self):
+        rng = random.Random(7)
+        token = "".join(rng.choice(LUX_ALPHABET) for _ in range(10_000))
+        pipeline = build_pipeline()
+        start = time.perf_counter()
+        pipeline.normalize_token(token)
+        assert time.perf_counter() - start < 0.5
+        assert edit_candidates(token, pipeline.lexicon, 2) == {}
+        # the match down a 10,000-character form is a loop, not recursion
+        near = token[:5_000] + token[5_001:]
+        assert edit_candidates(token, Lexicon({near: 1, "gutt": 1}), 2) == {near: 1}
+
 
 class TestNgramIndex:
     LEXICON = ["Biischt", "Bascht", "Wuert"]
@@ -258,6 +287,29 @@ class TestNgramIndex:
         assert [form for form, _ in ranked] == [w for _, w in reference[:2]]
         for (form, score), (cosine, _) in zip(ranked, reference):
             assert score == pytest.approx(cosine, abs=1e-9)
+
+    @given(
+        st.dictionaries(
+            st.text(alphabet="abcë", min_size=1, max_size=5), st.integers(1, 3), min_size=1,
+            max_size=12,
+        ),
+        st.text(alphabet="abcëd", min_size=1, max_size=6),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_top_k_is_a_prefix_of_the_full_sort(self, counts, token, n):
+        # the full ranking holds every word of positive cosine, sorted by
+        # (-cosine, -count, word); each shorter ranking is its prefix
+        lexicon = Lexicon(counts)
+        index = NgramIndex(lexicon, n)
+        full = index.rank(token, len(counts))
+        assert full == sorted(full, key=lambda item: (-item[1], -counts[item[0]], item[0]))
+        words = sorted(counts)
+        assert {w for w, _ in full} == {
+            w for w in words if reference_tfidf_cosine(words, token, w, n) > 0.0
+        }
+        for k in range(len(counts) + 2):
+            assert index.rank(token, k) == full[:k]
 
     def test_tie_breaks_by_frequency_then_form(self):
         # ab/ac/ad all share exactly the boundary gram with the query and
