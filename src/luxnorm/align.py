@@ -2,14 +2,17 @@
 
 Pairwise and 3-sequence Needleman-Wunsch over token lists. Match columns
 are scored with a Levenshtein-based similarity mapped into [-1, 1]; gap
-columns cost a fixed penalty. The 3-sequence variant runs a full cubic
-dynamic program instead of composing pairwise alignments, which would not
-yield consistent triples; its time and memory grow with the product of
-the three lengths. Each distinct token pair is scored once per call.
+columns cost a fixed penalty. The 3-sequence variant runs a cubic dynamic
+program instead of composing pairwise alignments, which would not yield
+consistent triples, but computes only the cells an optimal path can use,
+so its time follows those cells. Its memory, one flat list per cube, still
+grows with the product of the three lengths. Each distinct token pair is
+scored once per call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -62,7 +65,14 @@ class Alignment:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Plain edit distance (insert/delete/substitute, no transpositions)."""
+    """Plain edit distance (insert/delete/substitute, no transpositions).
+
+    Myers' bit-vector algorithm (J. ACM 46(3), 1999), in Hyyrö's form for
+    global distance: one Python int per sign holds the vertical deltas of
+    a DP column, one bit per character of the shorter string, and each
+    character of the longer string advances the column by a few integer
+    operations. The distance is tracked at the column's last row.
+    """
     if a == b:
         return 0
     if not a:
@@ -71,17 +81,31 @@ def levenshtein(a: str, b: str) -> int:
         return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        append = current.append
-        for j, cb in enumerate(b, start=1):
-            cost = previous[j - 1] if ca == cb else previous[j - 1] + 1
-            deletion = previous[j] + 1
-            insertion = current[j - 1] + 1
-            append(min(cost, deletion, insertion))
-        previous = current
-    return previous[-1]
+    # bit i of peq[c] is set where b[i] == c
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in b:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    plus, minus, distance = mask, 0, len(b)
+    for char in a:
+        eq = peq.get(char, 0)
+        vertical = eq | minus
+        horizontal = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(horizontal | plus)
+        h_minus = plus & horizontal
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        # row 0 of the table is 0, 1, 2, ...: its horizontal delta is +1
+        h_plus = h_plus << 1 | 1
+        h_minus <<= 1
+        plus = (h_minus | ~(vertical | h_plus)) & mask
+        minus = h_plus & vertical
+    return distance
 
 
 def token_similarity(a: str, b: str) -> float:
@@ -152,19 +176,18 @@ def _traceback(move: list[int], seqs: Sequence[Sequence[str]]) -> tuple[tuple[ob
     return tuple(columns)
 
 
-def needleman_wunsch(
-    a: Sequence[str],
-    b: Sequence[str],
-    scheme: ScoringScheme = DEFAULT_SCHEME,
-) -> Alignment:
-    """Globally optimal pairwise alignment with deterministic traceback.
+def _pair_table(
+    pair: Sequence[Sequence[float]], n: int, m: int, gp: float
+) -> tuple[list[list[float]], list[int]]:
+    """Pairwise Needleman-Wunsch over an n x m match-score matrix.
 
-    Ties prefer a match column, then a gap in `a`, then a gap in `b`.
+    Returns every row of the score table, so rows[i][j] is the best score
+    of the first i tokens against the first j, and the row-major move
+    table that `_traceback` walks. Ties prefer a match column, then a gap
+    in the first sequence, then a gap in the second.
     """
-    (pair,) = _pair_scores((a, b), scheme)
-    gp = scheme.gap_penalty
-    n, m = len(a), len(b)
     above = [0.0] + [gp * j for j in range(1, m + 1)]
+    rows = [above]
     move = [0] + [2] * m
     for i in range(1, n + 1):
         row = [gp * i]
@@ -181,26 +204,60 @@ def needleman_wunsch(
                 best, best_move = cand, 1
             row.append(best)
             move.append(best_move)
+        rows.append(row)
         above = row
-    return Alignment(_traceback(move, (a, b)), above[m])
+    return rows, move
 
 
-def align_triple(
-    original: Sequence[str],
-    predicted: Sequence[str],
-    gold: Sequence[str],
+def _pair_bounds(pair: Sequence[Sequence[float]], n: int, m: int, gp: float) -> list[list[float]]:
+    """Best pairwise score of any alignment through each cell (i, j).
+
+    The forward table scores the prefixes; the table of the matrix
+    reversed in both axes scores the suffixes, read back to front.
+    """
+    forward, _ = _pair_table(pair, n, m, gp)
+    backward, _ = _pair_table([row[::-1] for row in reversed(pair)], n, m, gp)
+    return [
+        [f + b for f, b in zip(row, reversed(suffix))]
+        for row, suffix in zip(forward, reversed(backward))
+    ]
+
+
+def needleman_wunsch(
+    a: Sequence[str],
+    b: Sequence[str],
     scheme: ScoringScheme = DEFAULT_SCHEME,
 ) -> Alignment:
-    """Globally optimal 3-sequence alignment over a DP cube.
+    """Globally optimal pairwise alignment with deterministic traceback.
 
-    A column scores the sum of its three pairwise scores; a pair with at
-    least one gap contributes gap_penalty. Traceback follows the fixed
-    move-preference order, so output is deterministic.
+    Scores every token pair, fills the whole table with `_pair_table` and
+    walks it back. Ties prefer a match column, then a gap in `a`, then a
+    gap in `b`.
     """
-    op, og, pg = _pair_scores((original, predicted, gold), scheme)
-    gp2 = 2.0 * scheme.gap_penalty
-    gp3 = 3.0 * scheme.gap_penalty
-    no, np_, ng = len(original), len(predicted), len(gold)
+    (pair,) = _pair_scores((a, b), scheme)
+    rows, move = _pair_table(pair, len(a), len(b), scheme.gap_penalty)
+    return Alignment(_traceback(move, (a, b)), rows[-1][-1])
+
+
+def _bounded_cube(
+    pairs: Sequence[list[list[float]]],
+    bounds: Sequence[list[list[float]]],
+    lengths: Sequence[int],
+    gap_penalty: float,
+    cutoff: float,
+) -> tuple[float, list[int]]:
+    """The 3-sequence program over the cells whose bound is not below
+    `cutoff`; returns the last cell's score and the move table.
+
+    A skipped cell keeps the score -inf, so every computed score is that
+    of a real path and never above the full cube's.
+    """
+    op, og, pg = pairs
+    u_op, u_og, u_pg = bounds
+    top_pg = [max(row) for row in u_pg]
+    gp2 = 2.0 * gap_penalty
+    gp3 = 3.0 * gap_penalty
+    no, np_, ng = lengths
     depth = ng + 1
     plane = (np_ + 1) * depth
     size = (no + 1) * plane
@@ -208,15 +265,24 @@ def align_triple(
     score = [neg_inf] * size
     move = [0] * size
     score[0] = 0.0
+    ks = range(ng + 1)
     for i in range(no + 1):
         op_i = op[i - 1] if i else None
         og_i = og[i - 1] if i else None
+        u_op_i = u_op[i]
+        u_og_i = u_og[i]
+        top_og_i = max(u_og_i)
         base_i = i * plane
         for j in range(np_ + 1):
+            # the row's largest cell bound
+            if u_op_i[j] + top_og_i + top_pg[j] < cutoff:
+                continue
             pg_j = pg[j - 1] if j else None
             base_ij = base_i + j * depth
             s_op = op_i[j - 1] if i and j else 0.0
-            for k in range(ng + 1):
+            head = u_op_i[j]
+            u_pg_j = u_pg[j]
+            for k in [k for k in ks if not head + u_og_i[k] + u_pg_j[k] < cutoff]:
                 if not (i or j or k):
                     continue
                 s_og = og_i[k - 1] if i and k else 0.0
@@ -256,4 +322,51 @@ def align_triple(
                         best, best_move = cand, 4
                 score[cell] = best
                 move[cell] = best_move
-    return Alignment(_traceback(move, (original, predicted, gold)), score[-1])
+    return score[-1], move
+
+
+def align_triple(
+    original: Sequence[str],
+    predicted: Sequence[str],
+    gold: Sequence[str],
+    scheme: ScoringScheme = DEFAULT_SCHEME,
+) -> Alignment:
+    """Globally optimal 3-sequence alignment over a bounded DP cube.
+
+    A column scores the sum of its three pairwise scores; a pair with at
+    least one gap contributes gap_penalty. Traceback follows the fixed
+    move-preference order, so output is deterministic.
+
+    Columns and score are the full cube's, but only cells an optimal path
+    can use are computed (Carrillo and Lipman, 1988). A path's share of
+    one pair is at most the pair's best alignment through the same
+    (i, j), as a column with both of the pair's tokens gapped scores
+    gap_penalty <= 0, so the three `_pair_bounds` sum to a bound on every
+    path through a cell. A pass computes the cells whose bound reaches a
+    threshold, less a rounding slack. If its score reaches the threshold,
+    every optimal-path cell and every tied predecessor was computed, by
+    the full cube's sums. Otherwise the score is a real alignment's and
+    the next pass takes it as the threshold, which is then exact; a score
+    of -inf makes that pass the full cube.
+    """
+    seqs = (original, predicted, gold)
+    pairs = op, og, pg = _pair_scores(seqs, scheme)
+    lengths = no, np_, ng = [len(seq) for seq in seqs]
+    gp = scheme.gap_penalty
+    bounds = u_op, u_og, u_pg = (
+        _pair_bounds(op, no, np_, gp),
+        _pair_bounds(og, no, ng, gp),
+        _pair_bounds(pg, np_, ng, gp),
+    )
+    upper = u_op[0][0] + u_og[0][0] + u_pg[0][0]
+    scale = abs(scheme.match_bonus) + abs(scheme.mismatch_penalty) + abs(gp)
+    slack = 1e-6 * (1.0 + abs(upper) + scale * (no + np_ + ng))
+    threshold = upper - (scheme.match_bonus - scheme.mismatch_penalty - 3.0 * gp)
+    if not math.isfinite(threshold - slack):
+        threshold, slack = float("-inf"), 0.0
+    while True:
+        value, move = _bounded_cube(pairs, bounds, lengths, gp, threshold - slack)
+        # also ends the full pass, whose NaN score an infinite scheme can make
+        if not value < threshold:
+            return Alignment(_traceback(move, seqs), value)
+        threshold = value

@@ -71,6 +71,11 @@ class Lexicon:
             self._trie = root
         return self._trie
 
+    def __getstate__(self) -> dict:
+        # The trie nests one dict per character, too deep to pickle for a
+        # long form; a pool worker rebuilds it on first use.
+        return {**self.__dict__, "_trie": None}
+
     def __contains__(self, word: str) -> bool:
         return word in self._counts
 

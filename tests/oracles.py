@@ -50,6 +50,29 @@ def levenshtein_recursive(a: str, b: str) -> int:
     )
 
 
+def reference_levenshtein(a: str, b: str) -> int:
+    """Edit distance by the row-by-row dynamic program, in quadratic time."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        append = current.append
+        for j, cb in enumerate(b, start=1):
+            cost = previous[j - 1] if ca == cb else previous[j - 1] + 1
+            deletion = previous[j] + 1
+            insertion = current[j - 1] + 1
+            append(min(cost, deletion, insertion))
+        previous = current
+    return previous[-1]
+
+
 def damerau_levenshtein(a: str, b: str) -> int:
     """Unrestricted Damerau-Levenshtein distance (Lowrance-Wagner).
 

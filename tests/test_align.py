@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from oracles import (
     kept,
     levenshtein_recursive,
     reference_align_triple,
+    reference_levenshtein,
     reference_needleman_wunsch,
 )
 
@@ -62,6 +64,19 @@ class TestLevenshtein:
     @given(st.text(alphabet="abc", max_size=6), st.text(alphabet="abc", max_size=6))
     def test_symmetry(self, a, b):
         assert levenshtein(a, b) == levenshtein(b, a)
+
+    # a precomposed ë, a bare combining diaeresis and an astral character
+    # each count as one code point
+    @given(
+        st.text(alphabet="aeë\u0308\U0001f600", max_size=80),
+        st.text(alphabet="aeë\u0308\U0001f600", max_size=80),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example("e\u0308", "ë")
+    @example("a" * 64, "a" * 63 + "\U0001f600")
+    @example("ë" * 80, "")
+    def test_matches_row_program(self, a, b):
+        assert levenshtein(a, b) == reference_levenshtein(a, b)
 
 
 class TestTokenSimilarity:
@@ -202,6 +217,33 @@ class TestAlignTriple:
         assert all(col != (GAP, GAP, GAP) for col in result.columns)
 
 
+@st.composite
+def noisy_triples(draw) -> tuple[list[str], list[str], list[str]]:
+    """A gold list and two noisy copies of it (drops, swaps, insertions),
+    so the three are related and the bounded cube skips most cells."""
+    word = st.sampled_from(
+        draw(st.sampled_from([["a"], ["a", "b"], ["a", "ab", "b", "ë"], ["Haus", "haus", "an"]]))
+    )
+    size = draw(st.integers(0, 25))
+    gold = draw(st.lists(word, min_size=size, max_size=size))
+
+    def copy() -> list[str]:
+        out = list(gold)
+        for _ in range(draw(st.integers(0, 6))):
+            at = draw(st.integers(0, len(out)))
+            edit = draw(st.sampled_from(["drop", "swap", "insert"]))
+            if edit == "insert":
+                out.insert(at, draw(word))
+            elif at < len(out) - (edit == "swap"):
+                if edit == "drop":
+                    del out[at]
+                else:
+                    out[at], out[at + 1] = out[at + 1], out[at]
+        return out
+
+    return copy(), copy(), gold
+
+
 class TestMatchesReference:
     """Columns and score equal the reference aligners', ties included."""
 
@@ -228,6 +270,47 @@ class TestMatchesReference:
     @example(["ab", "b"], ["b", "a"], ["ë"], ScoringScheme(mismatch_penalty=1.0, gap_penalty=0.0))
     def test_align_triple(self, o, p, g, scheme):
         assert align_triple(o, p, g, scheme) == reference_align_triple(o, p, g, scheme)
+
+    # one-token alphabets make every cell a tie
+    @given(noisy_triples(), accepted_schemes())
+    @settings(max_examples=150, deadline=None)
+    @example((["a"] * 7, ["a"] * 9, ["a"] * 8), SCHEME)
+    @example((["a"] * 12, ["a"] * 3, ["a"] * 12), ScoringScheme(gap_penalty=0.0))
+    @example((["a"] * 5, ["a"] * 6, ["a"] * 4), ScoringScheme(mismatch_penalty=1.0))
+    @example((["a"] * 6, [], ["a"] * 6), ScoringScheme(mismatch_penalty=1.0, gap_penalty=0.0))
+    # the first bounded pass misses the optimum, so the second pass decides
+    @example(
+        (list("aaaabbabbbbb"), list("aaabbbbbabbbbabbbbbaa"), list("aaabbbbbbabbbbbbaaa")),
+        ScoringScheme(2.0, 0.5, -0.1),
+    )
+    def test_align_triple_on_related_lists(self, triple, scheme):
+        got = align_triple(*triple, scheme)
+        want = reference_align_triple(*triple, scheme)
+        assert got == want
+        assert repr(got.score) == repr(want.score)
+
+
+def test_related_long_triple_is_fast():
+    rng = random.Random(11)
+    words = ["".join(rng.choices("abcdeëfghi", k=rng.randint(1, 8))) for _ in range(60)]
+    gold = [rng.choice(words) for _ in range(200)]
+
+    def noisy() -> list[str]:
+        out = []
+        for token in gold:
+            roll = rng.random()
+            if roll < 0.05:
+                continue
+            out.append(rng.choice(words) if roll < 0.15 else token)
+            if roll > 0.95:
+                out.append(rng.choice(words))
+        return out
+
+    original, predicted = noisy(), noisy()
+    start = time.perf_counter()
+    result = align_triple(original, predicted, gold, SCHEME)
+    assert time.perf_counter() - start < 3.0
+    assert [kept(result, side) for side in range(3)] == [original, predicted, gold]
 
 
 def test_scheme_rejects_gap_penalty_above_match():

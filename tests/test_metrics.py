@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,16 @@ class TestCer:
         forward = cer(preds, golds)
         backward = cer(list(reversed(preds)), list(reversed(golds)))
         assert forward == backward
+
+    def test_long_line_is_fast(self):
+        rng = random.Random(5)
+        gold = "".join(rng.choice("aeiouëé nrst") for _ in range(5_000))
+        predicted = "".join("x" if rng.random() < 0.1 else ch for ch in gold)
+        substituted = sum(p != g for p, g in zip(predicted, gold))
+        start = time.perf_counter()
+        value = cer([predicted], [gold])
+        assert time.perf_counter() - start < 0.5
+        assert 0 < value <= Fraction(substituted, len(gold))
 
 
 class TestEvaluateSentences:

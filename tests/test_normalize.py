@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import sys
 import time
@@ -478,6 +479,18 @@ class TestNormalizeLines:
 
     def test_empty_batch(self):
         assert build_pipeline().normalize_lines([], workers=2) == []
+
+    def test_pickled_pipeline_drops_a_deep_trie(self):
+        # spawn and forkserver pools pickle the pipeline, and the built
+        # trie nests one dict per character of its longest form
+        lexicon = Lexicon({"a" * 2000: 1, "haus": 2})
+        pipeline = no_variant_pipeline(lexicon)
+        lexicon.deletes_index()
+        copy = pickle.loads(pickle.dumps(pipeline))
+        tokens = ["hauss", "Haus", "aaaa", "xyz"]
+        assert [copy.normalize_token(t) for t in tokens] == [
+            pipeline.normalize_token(t) for t in tokens
+        ]
 
 
 IDENTITY_CMD = [sys.executable, "-c", "import sys; sys.stdout.write(sys.stdin.read())"]
