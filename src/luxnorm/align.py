@@ -44,6 +44,13 @@ class ScoringScheme:
     gap_penalty: float = -0.5
 
     def __post_init__(self) -> None:
+        # with a non-finite score no move beats -inf, and the traceback
+        # would never reach the origin
+        for name in ("match_bonus", "mismatch_penalty", "gap_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.match_bonus - self.mismatch_penalty - 3 * self.gap_penalty):
+            raise ValueError("match_bonus - mismatch_penalty - 3 * gap_penalty must be finite")
         # a positive gap penalty would make all-gap alignments profitable
         if not self.gap_penalty <= 0:
             raise ValueError("gap_penalty must be <= 0")

@@ -5,6 +5,13 @@ words for attested misspellings, sampled proportionally to their observed
 frequency. Each sentence gets its own random stream derived from (seed,
 line index), so output is identical no matter how many workers run or in
 what order sentences are processed.
+
+Each distinct token is resolved once per process into a type table entry:
+its variants' running counts and one finished replacement per variant, so
+every further occurrence costs one draw and one binary search. The table
+lives as long as the dictionary and grows with the number of distinct
+tokens seen. Pool workers send back only the corrupted line and its
+counts; the parent already holds the input line, the pair's target.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
+from weakref import WeakKeyDictionary
 
-from luxnorm.dictionary import VariantDictionary
+from luxnorm.dictionary import VariantDictionary, pick_index
 from luxnorm.parallel import ordered_map
 from luxnorm.tokenizer import (
     apply_case_pattern,
@@ -37,10 +45,13 @@ class SentencePair:
     token_count: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"source": self.source, "target": self.target, "changed": self.changed_tokens},
-            ensure_ascii=False,
+        return _JSON.encode(
+            {"source": self.source, "target": self.target, "changed": self.changed_tokens}
         )
+
+
+# what json.dumps(..., ensure_ascii=False) builds afresh on every call
+_JSON = json.JSONEncoder(ensure_ascii=False)
 
 
 @dataclass
@@ -84,27 +95,41 @@ def sentence_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def corrupt_token(token: str, dictionary: VariantDictionary, u: float) -> str:
-    """Replace one token using a pre-drawn uniform, or return it unchanged.
+# A type's entry: None when the token always stays as written, else its
+# key's running variant counts and one finished replacement per variant.
+_TypeEntry = tuple[tuple[int, ...], tuple[str, ...]] | None
 
-    Punctuation and out-of-dictionary tokens pass through. Lookup strips a
-    leading article clitic and tries the exact form before falling back to
-    a case-folded match, restoring the original casing pattern afterwards.
-    Variants containing whitespace are skipped: replacements must stay 1:1
-    at the token level.
+# Type table per dictionary, filled as tokens are first seen. An entry
+# depends only on the token and the dictionary, so output never depends on
+# what the table holds; it goes away with its dictionary.
+_TABLES: WeakKeyDictionary[VariantDictionary, dict[str, _TypeEntry]] = WeakKeyDictionary()
+
+
+def _type_entry(token: str, dictionary: VariantDictionary) -> _TypeEntry:
+    """Resolve one token type for corruption.
+
+    Punctuation and out-of-dictionary tokens always pass through. Lookup
+    strips a leading article clitic and tries the exact form before falling
+    back to a case-folded match, whose replacements take the token's casing
+    pattern. A variant containing whitespace replaces the token by itself:
+    replacements must stay 1:1 at the token level.
     """
     if is_punctuation(token):
-        return token
+        return None
     prefix, core = split_clitic(token)
     key = dictionary.resolve(core)
     if key is None:
-        return token
-    variant = dictionary.pick_variant(key, u)
-    if any(ch.isspace() for ch in variant):
-        return token
-    if key != core:
-        variant = apply_case_pattern(core, variant)
-    return prefix + variant
+        return None
+    replacements = []
+    for entry in dictionary.variants(key):
+        variant = entry.variant
+        if any(ch.isspace() for ch in variant):
+            replacements.append(token)
+        elif key == core:
+            replacements.append(prefix + variant)
+        else:
+            replacements.append(prefix + apply_case_pattern(core, variant))
+    return dictionary.cumulative_counts(key), tuple(replacements)
 
 
 def corrupt_sentence(
@@ -119,16 +144,27 @@ def corrupt_sentence(
     tokens = tokenize(sentence)
     if not tokens:
         raise ValueError("cannot corrupt an empty sentence")
+    table = _TABLES.get(dictionary)
+    if table is None:
+        table = _TABLES[dictionary] = {}
     corrupted: list[str] = []
     changed = 0
     for token in tokens:
         u = rng.random()
-        replacement = corrupt_token(token, dictionary, u)
+        try:
+            entry = table[token]
+        except KeyError:
+            entry = table[token] = _type_entry(token, dictionary)
+        if entry is None:
+            corrupted.append(token)
+            continue
+        cumulative, replacements = entry
+        replacement = replacements[pick_index(cumulative, u)]
         corrupted.append(replacement)
         if replacement != token:
             changed += 1
     return SentencePair(
-        source=splice(sentence, tokens, corrupted),
+        source=splice(sentence, tokens, corrupted) if changed else sentence,
         target=sentence,
         changed_tokens=changed,
         token_count=len(tokens),
@@ -137,10 +173,11 @@ def corrupt_sentence(
 
 def _corrupt_indexed(
     state: tuple[VariantDictionary, int], item: tuple[int, str]
-) -> SentencePair:
+) -> tuple[str, int, int]:
     dictionary, seed = state
     index, line = item
-    return corrupt_sentence(line, dictionary, sentence_rng(seed, index))
+    pair = corrupt_sentence(line, dictionary, sentence_rng(seed, index))
+    return pair.source, pair.changed_tokens, pair.token_count
 
 
 def iter_corrupted(
@@ -163,7 +200,9 @@ def iter_corrupted(
                 stats.skipped_blank_lines += 1
             continue
         tasks.append((index, line))
-    for pair in ordered_map(_corrupt_indexed, (dictionary, seed), tasks, workers):
+    results = ordered_map(_corrupt_indexed, (dictionary, seed), tasks, workers)
+    for (_, line), (source, changed, token_count) in zip(tasks, results):
+        pair = SentencePair(source, line, changed, token_count)
         if stats is not None:
             stats.add(pair)
         yield pair

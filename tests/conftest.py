@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import luxnorm
 
 from luxnorm.dictionary import VariantDictionary, VariantEntry
 
@@ -40,6 +46,21 @@ def mutate_word(rng: random.Random, word: str) -> str:
     pos = rng.randrange(len(word))
     replacement = rng.choice([c for c in alphabet if c != word[pos]])
     return word[:pos] + replacement + word[pos + 1:]
+
+
+def run_python(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run `python *args` in a child process that can import luxnorm.
+
+    A child still running after `timeout` seconds fails the test, so a
+    hang shows as a failure instead of stalling the suite.
+    """
+    src = str(Path(luxnorm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              timeout=timeout, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {timeout} s: python {' '.join(args)}")
 
 
 @pytest.fixture

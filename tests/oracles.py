@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: plain recursion and
 exhaustive enumeration, no shared code with the package under test
-beyond its alignment types and `token_similarity`.
+beyond its alignment types, `token_similarity`, the tokenizer's clitic
+and casing helpers and the dictionary's per-lemma lookups.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from luxnorm.align import DEFAULT_SCHEME, GAP, Alignment, ScoringScheme, token_similarity
+from luxnorm.dictionary import VariantDictionary
+from luxnorm.tokenizer import apply_case_pattern, is_punctuation, split_clitic
 
 
 def reference_tokenize(sentence: str) -> list[str]:
@@ -31,6 +34,41 @@ def reference_tokenize(sentence: str) -> list[str]:
             tokens.append(chunk)
         tokens.extend(reversed(trailing))
     return tokens
+
+
+def reference_pick_index(counts: Sequence[int], u: float) -> int:
+    """Variant index for draw u by walking the counts until the running
+    total exceeds u * total; the last index when none does."""
+    threshold = u * sum(counts)
+    acc = 0
+    for index, count in enumerate(counts):
+        acc += count
+        if threshold < acc:
+            return index
+    return len(counts) - 1
+
+
+def reference_corrupt_token(token: str, dictionary: VariantDictionary, u: float) -> str:
+    """Replace one token using a pre-drawn uniform, or return it unchanged.
+
+    Punctuation and out-of-dictionary tokens pass through. Lookup strips a
+    leading article clitic and tries the exact form before falling back to
+    a case-folded match, restoring the original casing pattern afterwards.
+    Variants containing whitespace are skipped: replacements must stay 1:1
+    at the token level.
+    """
+    if is_punctuation(token):
+        return token
+    prefix, core = split_clitic(token)
+    key = dictionary.resolve(core)
+    if key is None:
+        return token
+    variant = dictionary.pick_variant(key, u)
+    if any(ch.isspace() for ch in variant):
+        return token
+    if key != core:
+        variant = apply_case_pattern(core, variant)
+    return prefix + variant
 
 
 def levenshtein_recursive(a: str, b: str) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -15,6 +16,7 @@ from luxnorm.align import (
     needleman_wunsch,
     token_similarity,
 )
+from conftest import run_python
 from oracles import (
     brute_force_pair_value,
     brute_force_triple_value,
@@ -322,3 +324,29 @@ def test_scheme_rejects_gap_penalty_above_match():
     ):
         with pytest.raises(ValueError):
             ScoringScheme(**kwargs)
+
+
+_ALIGN_WITH_SCHEME = """
+import json, sys
+from luxnorm.align import ScoringScheme, align_triple
+try:
+    scheme = ScoringScheme(*json.loads(sys.argv[1]))
+except ValueError:
+    sys.exit(0)
+align_triple(["a", "b"], ["a"], ["b", "c"], scheme)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("values", [
+    (1.0, -1.0, float("-inf")),
+    (1.0, float("-inf"), -0.5),
+    (float("inf"), -1.0, -0.5),
+    (1.0, -1.0, float("nan")),
+    (1e308, -1e308, -1e308),  # finite fields whose span overflows
+])
+def test_scheme_rejects_non_finite_scores(values):
+    # in a child process: an accepted scheme like these made align_triple
+    # loop forever in its traceback
+    result = run_python(["-c", _ALIGN_WITH_SCHEME, json.dumps(values)], timeout=30)
+    assert result.returncode == 0, f"accepted {values}: {result.stderr}"

@@ -9,6 +9,9 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+from conftest import make_dictionary
+from luxnorm import corrupt
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -29,3 +32,20 @@ def test_lexicon_index_has_a_length():
     from luxnorm.normalize import Lexicon
 
     assert len(Lexicon({"haus": 1, "hunn": 2, "gutt": 3}).deletes_index()) == 2
+
+
+def test_traced_synth_records_sentence_and_tokenize_spans(monkeypatch):
+    # `corrupt.sentence_us.*` and `tokenizer.tokenize_us.p50` come from these
+    # spans of a serial synth run; a refactor that bypasses either name
+    # would leave those metrics empty
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    dictionary = make_dictionary({"gutt": {"gut": 1}})
+    lines = ["e gutt Joer", "alles gutt.", "gutt"]
+    with tracer.installed(layers.TARGETS):
+        pairs = list(corrupt.iter_corrupted(lines, dictionary, seed=1, workers=1))
+    names = [span.name for span in tracer.spans()]
+    assert len(pairs) == len(lines)
+    assert names.count("corrupt.corrupt_sentence") == len(lines)
+    assert "tokenizer.tokenize" in names

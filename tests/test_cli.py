@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from conftest import distant_vocabulary, make_dictionary, mutate_word
+from conftest import distant_vocabulary, make_dictionary, mutate_word, run_python
 from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, build_parser, main
 from luxnorm.config import ConfigError, RunConfig, build_config, effective_workers
 from luxnorm.experiment import StageError, run_experiment
@@ -504,6 +504,19 @@ class TestConfig:
             assert main(argv) == EXIT_CONFIG, argv
             assert key in capsys.readouterr().err, argv
         assert not (tmp_path / "p.jsonl").exists()
+
+    def test_non_finite_scheme_is_a_config_error(self, workspace):
+        # in a child process: before the check, eval never returned
+        triple = ["--orig", str(workspace["orig"]), "--pred", str(workspace["orig"]),
+                  "--gold", str(workspace["gold"])]
+        for flags, key in (
+            (["--gap-penalty=-inf"], "gap_penalty"),
+            (["--match-bonus=1e308", "--mismatch-penalty=-1e308", "--gap-penalty=-1e308"],
+             "gap_penalty"),
+        ):
+            result = run_python(["-m", "luxnorm.cli", "eval", *triple, *flags], timeout=60)
+            assert result.returncode == EXIT_CONFIG, (flags, result.stderr)
+            assert key in result.stderr, flags
 
     def test_run_config_flags_have_no_parser_default(self):
         # an unset flag must fall through to the config file and RunConfig

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import distant_vocabulary, make_dictionary, mutate_word
 from luxnorm.corrupt import (
@@ -11,7 +14,8 @@ from luxnorm.corrupt import (
     iter_corrupted,
     sentence_rng,
 )
-from luxnorm.tokenizer import tokenize
+from luxnorm.tokenizer import splice, tokenize
+from oracles import reference_corrupt_token
 
 
 class TestCorruptSentence:
@@ -79,6 +83,92 @@ class TestCorruptSentence:
             s != t for s, t in zip(tokenize(pair.source), tokenize(pair.target))
         )
         assert diff == pair.changed_tokens
+
+
+class _Draws:
+    """A random stream that hands out preset uniforms in order."""
+
+    def __init__(self, values: list[float]):
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+
+# Lower-case stems, cased per lemma and per token: Title, ALL-CAPS and mixed
+# forms of one stem fold to the same key, so the fallback tie-break runs.
+stems = st.text(alphabet="abë", min_size=1, max_size=3)
+casings = st.sampled_from([
+    str.lower,
+    str.title,
+    str.upper,
+    lambda w: "".join(c.upper() if i % 2 else c for i, c in enumerate(w)),
+])
+cased = st.builds(lambda casing, stem: casing(stem), casings, stems)
+variant_texts = st.one_of(
+    cased,
+    st.builds(lambda a, gap, b: a + gap + b, stems, st.sampled_from([" ", "\u00a0"]), stems),
+)
+# a draw at a fraction k/d, just below one, or anywhere in [0, 1)
+fractions = st.builds(lambda d, k: k % d / d, st.integers(1, 12), st.integers(0, 11))
+uniforms = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    fractions,
+    fractions.map(lambda u: max(0.0, math.nextafter(u, 0))),
+)
+
+# One object per distinct table, so that examples with the same table
+# share a dictionary and hit the type entries earlier examples made.
+_DICTIONARIES: dict[tuple, object] = {}
+
+
+@st.composite
+def dictionaries(draw):
+    table = {}
+    for lemma in draw(st.lists(cased, min_size=1, max_size=6, unique=True)):
+        variants = draw(st.lists(st.one_of(st.just(lemma), variant_texts), min_size=1,
+                                 max_size=4, unique=True))
+        table[lemma] = {v: draw(st.integers(1, 5)) for v in variants}
+    key = tuple((lemma, tuple(v.items())) for lemma, v in table.items())
+    if key not in _DICTIONARIES:
+        _DICTIONARIES[key] = make_dictionary(table)
+    return _DICTIONARIES[key], list(table)
+
+
+@st.composite
+def sentences(draw, lemmas: list[str]):
+    words = st.one_of(
+        st.sampled_from(lemmas).flatmap(
+            lambda lemma: st.sampled_from([lemma, lemma.lower(), lemma.upper(), lemma.title()])
+        ),
+        cased,
+    )
+    tokens = st.one_of(
+        st.builds(lambda clitic, word: clitic + word, st.sampled_from(["", "", "d'", "L'", "z'"]),
+                  words),
+        st.sampled_from(list(".,!?;:„“\"()")),
+    )
+    parts = draw(st.lists(st.tuples(tokens, st.sampled_from([" ", " ", "  ", "\t", ""])),
+                          min_size=1, max_size=8))
+    return "".join(token + gap for token, gap in parts)
+
+
+class TestTypeTable:
+    @given(dictionaries(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_position_reference(self, built, data):
+        # the type table gives what resolving each position afresh gives,
+        # for the same draws, including positions that hit earlier entries
+        dictionary, lemmas = built
+        for sentence in data.draw(st.lists(sentences(lemmas), min_size=1, max_size=3)):
+            tokens = tokenize(sentence)
+            draws = data.draw(st.lists(uniforms, min_size=len(tokens), max_size=len(tokens)))
+            expected = [reference_corrupt_token(t, dictionary, u) for t, u in zip(tokens, draws)]
+            pair = corrupt_sentence(sentence, dictionary, _Draws(draws))
+            assert pair.source == splice(sentence, tokens, expected)
+            assert pair.target == sentence
+            assert pair.changed_tokens == sum(a != b for a, b in zip(tokens, expected))
+            assert pair.token_count == len(tokens)
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from luxnorm.dictionary import (
     load_dictionary,
 )
 from luxnorm.errors import DictionaryLookupError, ParseError
+from oracles import reference_pick_index
 
 
 def write_dict(tmp_path, text: str):
@@ -102,6 +104,21 @@ class TestSampling:
         assert dictionary.pick_variant("w", 0.4999) == "a"
         assert dictionary.pick_variant("w", 0.5) == "b"
         assert dictionary.pick_variant("w", 0.999999) == "b"
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pick_variant_boundaries_match_running_total_walk(self, counts, data):
+        # at u = k/total and just below it, the binary search over running
+        # counts picks what the walk over the counts picks
+        dictionary = make_dictionary({"w": {f"v{i}": c for i, c in enumerate(counts)}})
+        total = sum(counts)
+        running = [sum(counts[: i + 1]) for i in range(len(counts))]
+        ks = {k + d for k in [0, *running] for d in (-1, 0, 1) if 0 <= k + d <= total}
+        ks.update(data.draw(st.lists(st.integers(0, total), max_size=20)))
+        for k in sorted(ks):
+            for u in (k / total, math.nextafter(k / total, 0)):
+                expected = f"v{reference_pick_index(counts, u)}"
+                assert dictionary.pick_variant("w", u) == expected, (k, u)
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=200))
     @settings(max_examples=30, deadline=None)
