@@ -188,8 +188,9 @@ class CellResult:
     failures: list[UnitFailure] = field(default_factory=list)
 
     @property
-    def success_rate(self) -> float:
-        return 100.0 * self.successes / self.total if self.total else 0.0
+    def success_rate(self) -> float | None:
+        """Percent of units passed; None for a cell with no units."""
+        return 100.0 * self.successes / self.total if self.total else None
 
 
 @dataclass
@@ -198,7 +199,8 @@ class SuiteReport:
     cells: dict[tuple[str, Setup], CellResult]
 
     def cell(self, category: str, setup: Setup) -> CellResult:
-        return self.cells.setdefault((category, setup), CellResult())
+        """The cell's result; an empty one, not stored, when it has no units."""
+        return self.cells.get((category, setup), CellResult())
 
     def to_dict(self) -> dict:
         rows = {}
@@ -343,14 +345,16 @@ def run_suite(normalizer: Normalizer, suite: TestSuite) -> SuiteReport:
 
 
 def render_report(report: SuiteReport, fmt: str = "table") -> str:
-    """Render per-category success rates, whole-number percentages."""
+    """Render per-category success rates, whole-number percentages; `-`
+    for a cell with no units."""
+
+    def rate(category: str, setup: Setup) -> str:
+        value = report.cell(category, setup).success_rate
+        return "-" if value is None else str(int(round(value)))
+
     header = ("category", "correct", "preserve")
     rows = [
-        (
-            category,
-            str(int(round(report.cell(category, Setup.CORRECT).success_rate))),
-            str(int(round(report.cell(category, Setup.PRESERVE).success_rate))),
-        )
+        (category, rate(category, Setup.CORRECT), rate(category, Setup.PRESERVE))
         for category in report.categories
     ]
     if fmt == "tsv":

@@ -66,11 +66,31 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    known = {spec.name for spec in fields(RunConfig)}
-    for key in raw:
-        if key not in known:
+    defaults = {spec.name: spec.default for spec in fields(RunConfig)}
+    for key, value in raw.items():
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} in {path}")
+        expected = _file_value_kind(defaults[key], value)
+        if expected is not None:
+            raise ConfigError(f"config key {key!r} in {path} must be {expected}, got {value!r}")
     return raw
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _file_value_kind(default, value) -> str | None:
+    """None when a config-file value has the type of its field's default,
+    else the kind of value the field takes."""
+    if isinstance(default, tuple):
+        ok = isinstance(value, list) and len(value) == len(default) and all(map(_is_number, value))
+        return None if ok else f"a list of {len(default)} numbers"
+    if isinstance(default, int):
+        return None if _is_number(value) and isinstance(value, int) else "an integer"
+    if isinstance(default, float):
+        return None if _is_number(value) else "a number"
+    return None if isinstance(value, str) or (default is None and value is None) else "a string"
 
 
 def build_config(overrides: dict, config_file: str | Path | None = None) -> RunConfig:

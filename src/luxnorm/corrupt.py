@@ -19,12 +19,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
-from luxnorm.dictionary import VariantDictionary, pick_index
+from luxnorm.dictionary import VariantDictionary
 from luxnorm.parallel import ordered_map
 from luxnorm.tokenizer import (
     apply_case_pattern,
@@ -120,8 +122,9 @@ def _type_entry(token: str, dictionary: VariantDictionary) -> _TypeEntry:
     key = dictionary.resolve(core)
     if key is None:
         return None
+    variants = dictionary.variants(key)
     replacements = []
-    for entry in dictionary.variants(key):
+    for entry in variants:
         variant = entry.variant
         if any(ch.isspace() for ch in variant):
             replacements.append(token)
@@ -129,7 +132,18 @@ def _type_entry(token: str, dictionary: VariantDictionary) -> _TypeEntry:
             replacements.append(prefix + variant)
         else:
             replacements.append(prefix + apply_case_pattern(core, variant))
-    return dictionary.cumulative_counts(key), tuple(replacements)
+    return tuple(accumulate(e.count for e in variants)), tuple(replacements)
+
+
+def pick_index(cumulative: Sequence[int], u: float) -> int:
+    """Index a uniform draw u in [0, 1) selects from running counts.
+
+    That is the first index whose running count exceeds u * total, so each
+    index is chosen with probability count / total; the last index when
+    rounding carries u * total up to the total.
+    """
+    index = bisect_right(cumulative, u * cumulative[-1])
+    return index if index < len(cumulative) else len(cumulative) - 1
 
 
 def corrupt_sentence(

@@ -1,22 +1,18 @@
-"""Lemma-to-spelling-variants dictionary with weighted sampling.
+"""Lemma-to-spelling-variants dictionary.
 
 The resource maps each standard written form to the non-standard
 spellings observed for it, together with how often each spelling was
 used. File format is TSV: `lemma<TAB>variant<TAB>count`, UTF-8; blank
 lines and `#` comment lines are skipped. Dictionaries are immutable after
-loading, apart from running counts kept on first draw, and safe to share
-across workers; sampling uses a caller-owned random stream.
+loading and safe to share across workers; `luxnorm.corrupt` draws the
+variants.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from luxnorm.errors import DictionaryLookupError, ParseError, parse_int, read_tsv
 
@@ -62,8 +58,6 @@ class VariantDictionary:
             ):
                 fold[key] = lemma
         self._fold = fold
-        # running variant counts per lemma, built on first draw
-        self._cumulative: dict[str, tuple[int, ...]] = {}
 
     def __contains__(self, lemma: str) -> bool:
         return lemma in self._entries
@@ -92,50 +86,6 @@ class VariantDictionary:
         if token in self._entries:
             return token
         return self._fold.get(token.casefold())
-
-    def probabilities(self, lemma: str) -> dict[str, Fraction]:
-        """Exact sampling probability of each variant of `lemma`."""
-        total = self.total_count(lemma)
-        return {e.variant: Fraction(e.count, total) for e in self._entries[lemma]}
-
-    def sample_variant(self, lemma: str, rng: random.Random) -> str:
-        """Draw one variant of `lemma` proportionally to its count."""
-        return self.pick_variant(lemma, rng.random())
-
-    def cumulative_counts(self, lemma: str) -> tuple[int, ...]:
-        """Running totals of `lemma`'s variant counts, in variant order.
-
-        Built on first use and kept, so every draw for a lemma searches the
-        same totals; the last one is the lemma's total count.
-        """
-        cumulative = self._cumulative.get(lemma)
-        if cumulative is None:
-            variants = self._entries.get(lemma)
-            if variants is None:
-                raise DictionaryLookupError(lemma)
-            cumulative = self._cumulative[lemma] = tuple(accumulate(e.count for e in variants))
-        return cumulative
-
-    def pick_variant(self, lemma: str, u: float) -> str:
-        """Map a uniform draw u in [0, 1) to a variant of `lemma`.
-
-        Separated from sample_variant so callers that pre-draw one uniform
-        per token position get sampling that is independent of dictionary
-        coverage elsewhere in the sentence.
-        """
-        cumulative = self.cumulative_counts(lemma)  # raises for an unknown lemma
-        return self._entries[lemma][pick_index(cumulative, u)].variant
-
-
-def pick_index(cumulative: Sequence[int], u: float) -> int:
-    """Index a uniform draw u in [0, 1) selects from running counts.
-
-    That is the first index whose running count exceeds u * total, so each
-    index is chosen with probability count / total; the last index when
-    rounding carries u * total up to the total.
-    """
-    index = bisect_right(cumulative, u * cumulative[-1])
-    return index if index < len(cumulative) else len(cumulative) - 1
 
 
 def load_dictionary(path: str | Path) -> VariantDictionary:

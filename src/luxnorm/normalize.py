@@ -394,7 +394,8 @@ class Pipeline:
             if core not in self._token_cache and not self.lexicon.contains_folded(core)
         )
         if types:
-            # built before the pool starts, so workers inherit or receive it once
+            # built before the pool starts: forked workers inherit it, while a
+            # pickled pipeline drops it and each spawned worker rebuilds it
             self.lexicon.deletes_index()
             results = ordered_map(_normalize_type, self, types, workers)
             # strict: exhausting the results also shuts the pool down here

@@ -23,6 +23,16 @@ def make_dictionary(table: dict[str, dict[str, int]]) -> VariantDictionary:
     )
 
 
+class PresetDraws:
+    """A random stream that hands out preset uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+
 def distant_vocabulary(rng: random.Random, size: int, min_distance: int = 3) -> list[str]:
     """Random lowercase words that are pairwise far apart in edit distance.
 

@@ -63,7 +63,8 @@ def reference_corrupt_token(token: str, dictionary: VariantDictionary, u: float)
     key = dictionary.resolve(core)
     if key is None:
         return token
-    variant = dictionary.pick_variant(key, u)
+    variants = dictionary.variants(key)
+    variant = variants[reference_pick_index([e.count for e in variants], u)].variant
     if any(ch.isspace() for ch in variant):
         return token
     if key != core:

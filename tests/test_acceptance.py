@@ -232,10 +232,9 @@ def test_round_trip_recovery_err_one():
 
 
 def test_sampling_fidelity_80_20():
-    """10,000 seeded draws from an 80/20 lemma stay within +/-0.02."""
+    """10,000 seeded synth draws from an 80/20 lemma stay within +/-0.02."""
     dictionary = make_dictionary({"w": {"heefeg": 80, "seelen": 20}})
-    rng = random.Random(42)
-    draws = [dictionary.sample_variant("w", rng) for _ in range(10_000)]
+    draws = [pair.source for pair in iter_corrupted(["w"] * 10_000, dictionary, seed=42)]
     frequent = draws.count("heefeg") / 10_000
     rare = draws.count("seelen") / 10_000
     assert abs(frequent - 0.8) <= 0.02, frequent

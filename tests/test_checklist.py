@@ -212,6 +212,19 @@ class TestRenderReport:
         table = render_report(report, "table").splitlines()
         assert len(table) == 22
 
+    def test_partial_suite_leaves_empty_cells_unrated(self, suite):
+        # one CORRECT unit: its PRESERVE cell has no units, which is not
+        # the same as a normalizer that fails every unit
+        unit = suite.select(Setup.CORRECT, "Quantity Rule")[0]
+        report = run_suite(identity, TestSuite([unit], [unit.category]))
+        assert list(report.cells) == [(unit.category, Setup.CORRECT)]
+        rows = report.to_dict()["categories"][unit.category]
+        assert rows["correct"]["rate"] == 0.0
+        assert rows["preserve"] == {"total": 0, "successes": 0, "rate": None}
+        assert render_report(report, "tsv").splitlines()[1] == f"{unit.category}\t0\t-"
+        assert render_report(report, "table").splitlines()[1].split()[-2:] == ["0", "-"]
+        assert list(report.cells) == [(unit.category, Setup.CORRECT)]
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render_report(SuiteReport(categories=[], cells={}), "yaml")

@@ -380,6 +380,19 @@ class TestRunCommand:
         assert self.run_once(workspace, out_dir, extra=extra) == EXIT_CONFIG
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "values",
+        [{"workers": "2"}, {"seed": "1"}, {"match_bonus": "1"}, {"weights": "1111"}, {"seed": True}],
+        ids=lambda values: json.dumps(values),
+    )
+    def test_config_file_value_of_wrong_type_names_key(self, workspace, tmp_path, capsys, values):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(values))
+        out_dir = tmp_path / "out"
+        assert self.run_once(workspace, out_dir, extra=("--config", str(config_file))) == EXIT_CONFIG
+        assert repr(next(iter(values))) in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
+
 
 class TestConfig:
     def test_unknown_file_key_rejected(self, tmp_path):

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import distant_vocabulary, make_dictionary, mutate_word
+from conftest import PresetDraws, distant_vocabulary, make_dictionary, mutate_word
 from luxnorm.corrupt import (
     CorpusStats,
     corrupt_sentence,
     iter_corrupted,
+    pick_index,
     sentence_rng,
 )
 from luxnorm.tokenizer import splice, tokenize
-from oracles import reference_corrupt_token
+from oracles import reference_corrupt_token, reference_pick_index
 
 
 class TestCorruptSentence:
@@ -83,16 +84,6 @@ class TestCorruptSentence:
             s != t for s, t in zip(tokenize(pair.source), tokenize(pair.target))
         )
         assert diff == pair.changed_tokens
-
-
-class _Draws:
-    """A random stream that hands out preset uniforms in order."""
-
-    def __init__(self, values: list[float]):
-        self._values = iter(values)
-
-    def random(self) -> float:
-        return next(self._values)
 
 
 # Lower-case stems, cased per lemma and per token: Title, ALL-CAPS and mixed
@@ -164,11 +155,32 @@ class TestTypeTable:
             tokens = tokenize(sentence)
             draws = data.draw(st.lists(uniforms, min_size=len(tokens), max_size=len(tokens)))
             expected = [reference_corrupt_token(t, dictionary, u) for t, u in zip(tokens, draws)]
-            pair = corrupt_sentence(sentence, dictionary, _Draws(draws))
+            pair = corrupt_sentence(sentence, dictionary, PresetDraws(draws))
             assert pair.source == splice(sentence, tokens, expected)
             assert pair.target == sentence
             assert pair.changed_tokens == sum(a != b for a, b in zip(tokens, expected))
             assert pair.token_count == len(tokens)
+
+
+class TestPickIndex:
+    def test_covers_whole_unit_interval(self):
+        assert pick_index((1, 2), 0.0) == 0
+        assert pick_index((1, 2), 0.4999) == 0
+        assert pick_index((1, 2), 0.5) == 1
+        assert pick_index((1, 2), 0.999999) == 1
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_boundaries_match_running_total_walk(self, counts, data):
+        # at u = k/total and just below it, the binary search over running
+        # counts picks what the walk over the counts picks
+        total = sum(counts)
+        running = [sum(counts[: i + 1]) for i in range(len(counts))]
+        ks = {k + d for k in [0, *running] for d in (-1, 0, 1) if 0 <= k + d <= total}
+        ks.update(data.draw(st.lists(st.integers(0, total), max_size=20)))
+        for k in sorted(ks):
+            for u in (k / total, math.nextafter(k / total, 0)):
+                assert pick_index(running, u) == reference_pick_index(counts, u), (k, u)
 
 
 class TestDeterminism:
