@@ -44,6 +44,13 @@ def _parse_weights(text: str) -> tuple[float, float, float, float]:
         raise argparse.ArgumentTypeError(f"weights are not numbers: {text!r}") from None
 
 
+def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--weights", type=_parse_weights)
+    parser.add_argument("--ngram-n", type=int)
+    parser.add_argument("--topk", type=int)
+    parser.add_argument("--max-edit-distance", type=int)
+
+
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--match-bonus", type=float)
     parser.add_argument("--mismatch-penalty", type=float)
@@ -88,11 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     normalize.add_argument("--lexicon", type=Path, required=True)
     normalize.add_argument("--in", dest="input", type=Path, required=True)
     normalize.add_argument("--out", type=Path, required=True)
-    normalize.add_argument("--weights", type=_parse_weights)
-    normalize.add_argument("--ngram-n", type=int)
-    normalize.add_argument("--topk", type=int)
-    normalize.add_argument("--max-edit-distance", type=int)
     normalize.add_argument("--workers", type=int)
+    _add_pipeline_flags(normalize)
 
     align = sub.add_parser("align", help="dump a 3-way word alignment for inspection")
     align.add_argument("--orig", type=Path, required=True)
@@ -118,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     checklist.add_argument("--lexicon", type=Path)
     checklist.add_argument("--report", type=Path)
     checklist.add_argument("--format", choices=("tsv", "table"), default="table")
-    checklist.add_argument("--weights", type=_parse_weights)
     checklist.add_argument("--workers", type=int)
+    _add_pipeline_flags(checklist)
 
     run = sub.add_parser("run", help="full experiment: normalize, evaluate, checklist")
     run.add_argument("--config", type=Path, help="JSON config file; flags override it")
@@ -132,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", dest="output_dir", type=Path)
     run.add_argument("--seed", type=int)
     run.add_argument("--normalizer")
-    run.add_argument("--weights", type=_parse_weights)
     run.add_argument("--workers", type=int)
+    _add_pipeline_flags(run)
     return parser
 
 

@@ -139,8 +139,9 @@ def pick_index(cumulative: Sequence[int], u: float) -> int:
     """Index a uniform draw u in [0, 1) selects from running counts.
 
     That is the first index whose running count exceeds u * total, so each
-    index is chosen with probability count / total; the last index when
-    rounding carries u * total up to the total.
+    index is chosen with probability count / total. For u in [0, 1),
+    u * total < total even after rounding, so such an index exists; the
+    clamp to the last index fires only at u = 1.0.
     """
     index = bisect_right(cumulative, u * cumulative[-1])
     return index if index < len(cumulative) else len(cumulative) - 1

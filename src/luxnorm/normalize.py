@@ -12,7 +12,7 @@ line on stdin, exactly one normalized sentence per line on stdout.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 import shlex
 import subprocess
@@ -127,7 +127,15 @@ class NgramIndex:
     """Character n-gram tf-idf profiles with an inverted index for scoring.
 
     idf uses the smoothed form log((1+N)/(1+df)) + 1, which keeps every
-    weight positive, so a word's cosine with itself is exactly 1.
+    weight positive, so a word's cosine with itself is 1, up to rounding.
+
+    For n >= 2 each word holds its start gram (n-1 start pads and its first
+    character) and its end gram (its last character and n-1 end pads) once,
+    at weight idf. These two grams would be most of the postings a query
+    visits, so instead of postings each has a list of the words holding it
+    as such, sorted by norm (then form), in which `rank` can stop early. A
+    word holding its start or end gram twice, which takes a pad character
+    in the word, keeps all its postings and is in no such list.
     """
 
     def __init__(self, lexicon: Lexicon, n: int = 3):
@@ -137,13 +145,20 @@ class NgramIndex:
         words = sorted(lexicon)
         df: dict[str, int] = {}
         profiles: list[dict[str, int]] = []
+        head_grams: list[str | None] = []  # each word's start gram, if it has a list
+        tail_grams: list[str | None] = []  # each word's end gram, if it has a list
         for word in words:
+            grams = _ngrams(word, n)
             tf: dict[str, int] = {}
-            for gram in _ngrams(word, n):
+            for gram in grams:
                 tf[gram] = tf.get(gram, 0) + 1
             profiles.append(tf)
             for gram in tf:
                 df[gram] = df.get(gram, 0) + 1
+            head, tail = grams[0], grams[-1]
+            edged = n > 1 and tf[head] == tf[tail] == 1
+            head_grams.append(head if edged else None)
+            tail_grams.append(tail if edged else None)
         total = len(words)
         self._idf = {
             gram: math.log((1 + total) / (1 + count)) + 1.0 for gram, count in df.items()
@@ -152,13 +167,27 @@ class NgramIndex:
         self._counts = [lexicon.count(word) for word in words]
         self._norms: list[float] = []
         self._postings: dict[str, list[tuple[int, float]]] = {}
-        for word_id, tf in enumerate(profiles):
+        idf, postings = self._idf, self._postings
+        for word_id, (tf, head, tail) in enumerate(zip(profiles, head_grams, tail_grams)):
             sq = 0.0
             for gram, count in tf.items():
-                weight = count * self._idf[gram]
+                weight = count * idf[gram]
                 sq += weight * weight
-                self._postings.setdefault(gram, []).append((word_id, weight))
+                # a key of tf is the object its first occurrence put there
+                if gram is not head and gram is not tail:
+                    postings.setdefault(gram, []).append((word_id, weight))
             self._norms.append(math.sqrt(sq))
+        self._edges: dict[str, list[int]] = {
+            gram: [] for gram in {*head_grams, *tail_grams} - {None}
+        }
+        # each word's start gram list and end gram list, or None
+        self._heads = [self._edges.get(gram) for gram in head_grams]
+        self._tails = [self._edges.get(gram) for gram in tail_grams]
+        # ids are in form order and the sort is stable
+        for word_id in sorted(range(total), key=self._norms.__getitem__):
+            if self._heads[word_id] is not None:
+                self._heads[word_id].append(word_id)
+                self._tails[word_id].append(word_id)
 
     def vector(self, word: str) -> dict[str, float]:
         """tf-idf profile of an arbitrary word, using the index vocabulary."""
@@ -173,6 +202,29 @@ class NgramIndex:
         """Top-k positive-similarity lexicon words for `token`.
 
         Ties break by lexicon frequency descending, then lexicographically.
+        The result is bit for bit that of scoring every word sharing a gram
+        with the query, found as follows. The words of the query's first
+        gram's list (its start gram's, if indexed) and last gram's list
+        (its end gram's) need no postings: a dot product starts from s, the
+        first gram's term, for a word of the first list, and e, the last
+        gram's term, is added last for a word of the second, so every dot
+        sums its terms in query order.
+
+        1. The postings of every query gram, and the list of a start or end
+           gram inside the token (which takes a pad character), are walked.
+        2. The first list, then the second, is scanned in norm order for
+           words the walk missed, whose dot is at most top = s + e in the
+           first list and is e in the second. A scan stops at the first
+           word whose bound -top / (qnorm * norm) is strictly above the
+           k-th kept -cosine: no later word, of no smaller norm, can beat
+           it. An equal bound goes on, as a word of that cosine can still
+           win on count (the threshold algorithm of Fagin, Lotem and Naor,
+           PODS 2001, over a fixed order).
+
+        A word of the first list that the first scan never reached cannot
+        enter through the second: met there, it stops the scan, as its
+        bound with top = e is at least its first-scan bound, which was
+        above the k-th kept -cosine, and the k-th kept -cosine never grows.
         """
         if k <= 0:
             return []
@@ -180,17 +232,56 @@ class NgramIndex:
         qnorm = math.sqrt(sum(w * w for w in query.values()))
         if qnorm == 0.0:
             return []
+        grams = list(query)
+        first, last = grams[0], grams[-1]
+        starts = self._edges.get(first, ())
+        ends = self._edges.get(last, ()) if len(grams) > 1 else ()
+        s = query[first] * self._idf[first]
+        e = query[last] * self._idf[last] if ends else 0.0
+        heads, tails = self._heads, self._tails
         dots: dict[int, float] = {}
-        for gram, weight in query.items():
-            for word_id, posting_weight in self._postings.get(gram, ()):
-                dots[word_id] = dots.get(word_id, 0.0) + weight * posting_weight
-        scored = (
-            (-dot / (qnorm * self._norms[word_id]), -self._counts[word_id], self._words[word_id])
-            for word_id, dot in dots.items()
-            if dot > 0.0
-        )
-        # (-cosine, -count, word) is a total order, so no sort is needed
-        return [(word, -cosine) for cosine, _, word in heapq.nsmallest(k, scored)]
+        for i, gram in enumerate(grams):
+            weight = query[gram]
+            postings = self._postings.get(gram, ())
+            if 0 < i < len(grams) - 1 and gram in self._edges:
+                # a start or end gram inside the token, which holds a pad character
+                idf = self._idf[gram]
+                postings = [*postings, *((word_id, idf) for word_id in self._edges[gram])]
+            for word_id, posting_weight in postings:
+                dot = dots.get(word_id)
+                if dot is None:
+                    dot = s if heads[word_id] is starts or tails[word_id] is starts else 0.0
+                dots[word_id] = dot + weight * posting_weight
+        norms, counts, words = self._norms, self._counts, self._words
+        # the best (-cosine, -count, word) so far; every weight is positive,
+        # so is every dot
+        kept: list[tuple[float, int, str]] = []
+        for word_id, dot in dots.items():
+            if heads[word_id] is ends or tails[word_id] is ends:
+                dot += e
+            score = -dot / (qnorm * norms[word_id])
+            if len(kept) < k or score <= kept[-1][0]:
+                _keep(kept, k, (score, -counts[word_id], words[word_id]))
+        for scan, top in ((starts, s + e), (ends, e)):
+            for word_id in scan:
+                if word_id in dots:
+                    continue
+                scale = qnorm * norms[word_id]
+                if len(kept) == k and -top / scale > kept[-1][0]:
+                    break
+                dot = top if scan is ends or heads[word_id] is ends or tails[word_id] is ends else s
+                dots[word_id] = dot  # scored: the second scan skips it
+                _keep(kept, k, (-dot / scale, -counts[word_id], words[word_id]))
+        return [(word, -score) for score, _, word in kept]
+
+
+def _keep(kept: list, k: int, item: tuple) -> None:
+    """Add `item` to `kept`, the sorted k smallest items offered so far."""
+    if len(kept) < k:
+        bisect.insort(kept, item)
+    elif item < kept[-1]:
+        kept.pop()
+        bisect.insort(kept, item)
 
 
 def ngram_candidates(token: str, index: NgramIndex, k: int) -> list[tuple[str, float]]:

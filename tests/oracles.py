@@ -3,16 +3,20 @@
 Everything here favors obviousness over speed: plain recursion and
 exhaustive enumeration, no shared code with the package under test
 beyond its alignment types, `token_similarity`, the tokenizer's clitic
-and casing helpers and the dictionary's per-lemma lookups.
+and casing helpers, the dictionary's per-lemma lookups and the lexicon's
+forms and counts.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from functools import lru_cache
 from typing import Sequence
 
 from luxnorm.align import DEFAULT_SCHEME, GAP, Alignment, ScoringScheme, token_similarity
 from luxnorm.dictionary import VariantDictionary
+from luxnorm.normalize import Lexicon
 from luxnorm.tokenizer import apply_case_pattern, is_punctuation, split_clitic
 
 
@@ -178,6 +182,74 @@ def neighborhood_distances(token: str, max_distance: int, alphabet: str) -> dict
         for word in ring:
             found.setdefault(word, distance)
     return found
+
+
+def _reference_ngrams(word: str, n: int) -> list[str]:
+    padded = "\x02" * (n - 1) + word + "\x03" * (n - 1)
+    return [padded[i : i + n] for i in range(len(padded) - n + 1)]
+
+
+class ReferenceNgramIndex:
+    """The n-gram index with a full postings scan: every gram of every word
+    is posted, and `rank` scores each word that shares a gram with the
+    query before taking the top k."""
+
+    def __init__(self, lexicon: Lexicon, n: int = 3):
+        if n < 1:
+            raise ValueError("n-gram size must be >= 1")
+        self.n = n
+        words = sorted(lexicon)
+        df: dict[str, int] = {}
+        profiles: list[dict[str, int]] = []
+        for word in words:
+            tf: dict[str, int] = {}
+            for gram in _reference_ngrams(word, n):
+                tf[gram] = tf.get(gram, 0) + 1
+            profiles.append(tf)
+            for gram in tf:
+                df[gram] = df.get(gram, 0) + 1
+        total = len(words)
+        self._idf = {
+            gram: math.log((1 + total) / (1 + count)) + 1.0 for gram, count in df.items()
+        }
+        self._words = words
+        self._counts = [lexicon.count(word) for word in words]
+        self._norms: list[float] = []
+        self._postings: dict[str, list[tuple[int, float]]] = {}
+        for word_id, tf in enumerate(profiles):
+            sq = 0.0
+            for gram, count in tf.items():
+                weight = count * self._idf[gram]
+                sq += weight * weight
+                self._postings.setdefault(gram, []).append((word_id, weight))
+            self._norms.append(math.sqrt(sq))
+
+    def vector(self, word: str) -> dict[str, float]:
+        vec: dict[str, float] = {}
+        for gram in _reference_ngrams(word, self.n):
+            idf = self._idf.get(gram)
+            if idf is not None:
+                vec[gram] = vec.get(gram, 0.0) + idf
+        return vec
+
+    def rank(self, token: str, k: int) -> list[tuple[str, float]]:
+        if k <= 0:
+            return []
+        query = self.vector(token)
+        qnorm = math.sqrt(sum(w * w for w in query.values()))
+        if qnorm == 0.0:
+            return []
+        dots: dict[int, float] = {}
+        for gram, weight in query.items():
+            for word_id, posting_weight in self._postings.get(gram, ()):
+                dots[word_id] = dots.get(word_id, 0.0) + weight * posting_weight
+        scored = (
+            (-dot / (qnorm * self._norms[word_id]), -self._counts[word_id], self._words[word_id])
+            for word_id, dot in dots.items()
+            if dot > 0.0
+        )
+        # (-cosine, -count, word) is a total order, so no sort is needed
+        return [(word, -cosine) for cosine, _, word in heapq.nsmallest(k, scored)]
 
 
 @lru_cache(maxsize=4096)

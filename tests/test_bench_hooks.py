@@ -49,3 +49,27 @@ def test_traced_synth_records_sentence_and_tokenize_spans(monkeypatch):
     assert len(pairs) == len(lines)
     assert names.count("corrupt.corrupt_sentence") == len(lines)
     assert "tokenizer.tokenize" in names
+
+
+def test_traced_normalize_records_route_spans(monkeypatch):
+    # `normalize.ngram_ms.*`, `normalize.edit_ms.*` and
+    # `normalize.ngram_index_s` come from these spans of a serial normalize
+    # run; a refactor that bypasses one of the names would leave its
+    # metrics empty
+    from luxnorm.dictionary import build_reverse_index
+    from luxnorm.normalize import Lexicon, Pipeline
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    lexicon = Lexicon({"gutt": 5, "Joer": 3, "alles": 2})
+    with tracer.installed(layers.TARGETS):
+        pipeline = Pipeline(build_reverse_index(make_dictionary({})), lexicon)
+        outputs = pipeline.normalize_lines(["e gudd Joer", "alles gutt."], workers=1)
+    names = {span.name for span in tracer.spans()}
+    assert outputs == ["e gutt Joer", "alles gutt."]
+    assert {
+        "normalize.ngram_candidates",
+        "normalize.edit_candidates",
+        "normalize.NgramIndex.__init__",
+    } <= names

@@ -344,6 +344,12 @@ class TestRunCommand:
         assert report["config"]["normalizer"] == "identity"
         assert report["metrics"]["err"] == 0.0  # identity = leave-as-is baseline
 
+    def test_pipeline_flags_reach_the_report_config(self, workspace, tmp_path):
+        out_dir = tmp_path / "out"
+        assert self.run_once(workspace, out_dir, extra=("--topk", "3")) == EXIT_OK
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"]["topk"] == 3
+
     def test_missing_eval_paths_is_config_error(self, workspace, capsys):
         assert main(["run", "--dict", str(workspace["dict"])]) == EXIT_CONFIG
 
@@ -504,6 +510,8 @@ class TestConfig:
             (normalize + inputs + ["--max-edit-distance", "3"], "max_edit_distance"),
             (normalize + missing, "dictionary"),
             (["checklist", *inputs, "--workers", "0"], "workers"),
+            (["checklist", *inputs, "--topk", "-1"], "topk"),
+            (["run", *inputs, "--ngram-n", "0"], "ngram_n"),
             (["checklist", *missing], "dictionary"),
             (["checklist", "--normalizer", "identity", "--suite", str(tmp_path / "no.tsv")],
              "suite"),

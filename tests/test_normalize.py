@@ -25,7 +25,7 @@ from luxnorm.normalize import (
     ngram_candidates,
     run_external_normalizer,
 )
-from oracles import damerau_levenshtein, neighborhood_distances
+from oracles import ReferenceNgramIndex, damerau_levenshtein, neighborhood_distances
 
 
 def reference_tfidf_cosine(lexicon_words: list[str], a: str, b: str, n: int = 3) -> float:
@@ -311,6 +311,43 @@ class TestNgramIndex:
         }
         for k in range(len(counts) + 2):
             assert index.rank(token, k) == full[:k]
+
+    # mostly letters, with the two pad characters, which can put a start or
+    # end gram inside a word or token; "d" is in no word
+    WORD_CHARS = "aaabbbcccëë\x02\x03"
+
+    @given(
+        st.dictionaries(
+            st.text(st.sampled_from(WORD_CHARS), min_size=1, max_size=6), st.integers(1, 3),
+            min_size=1, max_size=12,
+        ),
+        st.text(st.sampled_from(WORD_CHARS + "d"), min_size=1, max_size=7),
+        st.integers(1, 4),
+    )
+    # edge-only words that tie exactly, ordered by count, then form
+    @example({"ab": 5, "ac": 5, "ad": 1}, "a", 2)
+    # a 1-character token: its start and end grams are all its grams
+    @example({"b": 1, "ab": 2, "ba": 1, "bb": 3}, "b", 2)
+    # the index has neither edge gram of the token
+    @example({"ab": 1, "abc": 2, "cab": 1}, "xaby", 2)
+    # fewer words of positive cosine than k
+    @example({"ab": 1, "xy": 1, "ya": 2}, "a", 2)
+    # the last character's scan meets `acb`, which the first scan stopped before
+    @example({"ab": 1, "acb": 1, "dccb": 1}, "ab", 2)
+    # `acb`, edge-only, ties `cab` from the postings walk exactly and wins on count
+    @example({"cab": 1, "acb": 2}, "ab", 2)
+    # `accdeb`'s norm is one ulp above `adecdb`'s, yet their bounds are equal:
+    # stopping on the whole tuple at `adecdb` (count 1) misses `accdeb` (count 3)
+    @example({"adecdb": 1, "accdeb": 3, "aeb": 1, "adeccb": 3}, "axb", 2)
+    # a start gram inside the token
+    @example({"ab": 1, "b\x02a": 1, "ca": 2}, "x\x02ab", 2)
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_full_scan(self, counts, token, n):
+        lexicon = Lexicon(counts)
+        index = NgramIndex(lexicon, n)
+        reference = ReferenceNgramIndex(lexicon, n)
+        for k in range(len(counts) + 3):
+            assert index.rank(token, k) == reference.rank(token, k)
 
     def test_tie_breaks_by_frequency_then_form(self):
         # ab/ac/ad all share exactly the boundary gram with the query and
