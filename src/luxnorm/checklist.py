@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from luxnorm.align import GAP, ScoringScheme, needleman_wunsch
 from luxnorm.errors import ParseError, parse_int, read_tsv
 from luxnorm.metrics import nfc
-from luxnorm.tokenizer import splice, tokenize
+from luxnorm.tokenizer import is_token, splice, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -115,8 +115,9 @@ def load_suite(path: str | Path | None = None) -> TestSuite:
                 line=lineno,
             ) from None
         if setup is Setup.CORRECT:
-            if not expected:
-                raise ParseError("CORRECT unit without expected form", path=str(path), line=lineno)
+            if not is_token(expected):
+                message = f"empty expected form or not one token: {expected!r}"
+                raise ParseError(message, path=str(path), line=lineno)
             target_index = parse_int(index_text, "target_index", path, lineno)
             tokens = tokenize(sentence)
             if not 0 <= target_index < len(tokens):

@@ -113,7 +113,7 @@ def build_config(overrides: dict, config_file: str | Path | None = None) -> RunC
         try:
             values["weights"] = tuple(float(w) for w in values["weights"])
         except (TypeError, ValueError):
-            raise ConfigError("weights must be four non-negative numbers") from None
+            raise ConfigError("weights must be four finite non-negative numbers") from None
     config = RunConfig(**values)
     for key in _PATH_KEYS:
         value = getattr(config, key)

@@ -31,6 +31,7 @@ from luxnorm.parallel import ordered_map
 from luxnorm.tokenizer import (
     apply_case_pattern,
     is_punctuation,
+    is_token,
     splice,
     split_clitic,
     tokenize,
@@ -113,7 +114,7 @@ def _type_entry(token: str, dictionary: VariantDictionary) -> _TypeEntry:
     Punctuation and out-of-dictionary tokens always pass through. Lookup
     strips a leading article clitic and tries the exact form before falling
     back to a case-folded match, whose replacements take the token's casing
-    pattern. A variant containing whitespace replaces the token by itself:
+    pattern. A replacement that is not one token is the token itself:
     replacements must stay 1:1 at the token level.
     """
     if is_punctuation(token):
@@ -125,13 +126,8 @@ def _type_entry(token: str, dictionary: VariantDictionary) -> _TypeEntry:
     variants = dictionary.variants(key)
     replacements = []
     for entry in variants:
-        variant = entry.variant
-        if any(ch.isspace() for ch in variant):
-            replacements.append(token)
-        elif key == core:
-            replacements.append(prefix + variant)
-        else:
-            replacements.append(prefix + apply_case_pattern(core, variant))
+        variant = entry.variant if key == core else apply_case_pattern(core, entry.variant)
+        replacements.append(prefix + variant if is_token(prefix + variant) else token)
     return tuple(accumulate(e.count for e in variants)), tuple(replacements)
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from luxnorm.errors import DictionaryLookupError, ParseError, parse_int, read_tsv
+from luxnorm.tokenizer import is_token
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,8 @@ class VariantDictionary:
 
     def __init__(self, entries: dict[str, list[VariantEntry]]):
         for lemma, variants in entries.items():
-            if not lemma:
-                raise ValueError("empty lemma key")
+            if not is_token(lemma):
+                raise ValueError(f"lemma {lemma!r} is not one token")
             if not variants:
                 raise ValueError(f"lemma {lemma!r} has no variants")
             seen = set()
@@ -97,8 +98,9 @@ def load_dictionary(path: str | Path) -> VariantDictionary:
     """
     merged: dict[str, dict[str, int]] = {}
     for lineno, (lemma, variant, count_text) in read_tsv(path, 3):
-        if not lemma:
-            raise ParseError("empty lemma", path=str(path), line=lineno)
+        if not is_token(lemma):
+            message = f"empty lemma or not one token: {lemma!r}"
+            raise ParseError(message, path=str(path), line=lineno)
         if not variant:
             raise ParseError("empty variant", path=str(path), line=lineno)
         count = parse_int(count_text, "count", path, lineno)

@@ -26,6 +26,7 @@ from luxnorm.parallel import ordered_map
 from luxnorm.tokenizer import (
     apply_case_pattern,
     is_punctuation,
+    is_token,
     splice,
     split_clitic,
     tokenize,
@@ -35,9 +36,9 @@ from luxnorm.tokenizer import (
 _LOWER = "abcdefghijklmnopqrstuvwxyzäëéöüâêîôûàèù"
 LUX_ALPHABET = _LOWER + _LOWER.upper()
 
-# word-boundary padding for n-gram profiles; cannot occur in real tokens
-_PAD_START = "\x02"
-_PAD_END = "\x03"
+# word-boundary padding for n-gram profiles: whitespace, which no token holds
+_PAD_START = "\t"
+_PAD_END = "\n"
 
 
 class Lexicon:
@@ -45,8 +46,8 @@ class Lexicon:
 
     def __init__(self, counts: dict[str, int]):
         for word, count in counts.items():
-            if not word:
-                raise ValueError("empty lexicon form")
+            if not is_token(word):
+                raise ValueError(f"lexicon form {word!r} is not one token")
             if count < 1:
                 raise ValueError(f"non-positive count for {word!r}")
         self._counts = dict(counts)
@@ -110,8 +111,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
     counts: dict[str, int] = {}
     for lineno, (word, count_text) in read_tsv(path, 2):
         count = parse_int(count_text, "count", path, lineno)
-        if not word or count < 1:
-            raise ParseError("empty form or non-positive count", path=str(path), line=lineno)
+        if not is_token(word):
+            raise ParseError(f"empty form or not one token: {word!r}", path=str(path), line=lineno)
+        if count < 1:
+            raise ParseError(f"non-positive count: {count}", path=str(path), line=lineno)
         counts[word] = counts.get(word, 0) + count
     if not counts:
         raise ParseError("lexicon file contains no entries", path=str(path))
@@ -131,11 +134,10 @@ class NgramIndex:
 
     For n >= 2 each word holds its start gram (n-1 start pads and its first
     character) and its end gram (its last character and n-1 end pads) once,
-    at weight idf. These two grams would be most of the postings a query
-    visits, so instead of postings each has a list of the words holding it
-    as such, sorted by norm (then form), in which `rank` can stop early. A
-    word holding its start or end gram twice, which takes a pad character
-    in the word, keeps all its postings and is in no such list.
+    at weight idf, as no word holds a pad. These two grams would be most of
+    the postings a query visits, so instead of postings each has a list of
+    the words holding it, sorted by norm (then form), in which `rank` can
+    stop early.
     """
 
     def __init__(self, lexicon: Lexicon, n: int = 3):
@@ -145,8 +147,8 @@ class NgramIndex:
         words = sorted(lexicon)
         df: dict[str, int] = {}
         profiles: list[dict[str, int]] = []
-        head_grams: list[str | None] = []  # each word's start gram, if it has a list
-        tail_grams: list[str | None] = []  # each word's end gram, if it has a list
+        head_grams: list[str | None] = []  # each word's start gram, if n >= 2
+        tail_grams: list[str | None] = []  # each word's end gram, if n >= 2
         for word in words:
             grams = _ngrams(word, n)
             tf: dict[str, int] = {}
@@ -155,10 +157,8 @@ class NgramIndex:
             profiles.append(tf)
             for gram in tf:
                 df[gram] = df.get(gram, 0) + 1
-            head, tail = grams[0], grams[-1]
-            edged = n > 1 and tf[head] == tf[tail] == 1
-            head_grams.append(head if edged else None)
-            tail_grams.append(tail if edged else None)
+            head_grams.append(grams[0] if n > 1 else None)
+            tail_grams.append(grams[-1] if n > 1 else None)
         total = len(words)
         self._idf = {
             gram: math.log((1 + total) / (1 + count)) + 1.0 for gram, count in df.items()
@@ -208,10 +208,10 @@ class NgramIndex:
         (its end gram's) need no postings: a dot product starts from s, the
         first gram's term, for a word of the first list, and e, the last
         gram's term, is added last for a word of the second, so every dot
-        sums its terms in query order.
+        sums its terms in query order. The token must hold no whitespace,
+        so that no start or end gram lies inside it.
 
-        1. The postings of every query gram, and the list of a start or end
-           gram inside the token (which takes a pad character), are walked.
+        1. The postings of every query gram are walked.
         2. The first list, then the second, is scanned in norm order for
            words the walk missed, whose dot is at most top = s + e in the
            first list and is e in the second. A scan stops at the first
@@ -226,6 +226,8 @@ class NgramIndex:
         bound with top = e is at least its first-scan bound, which was
         above the k-th kept -cosine, and the k-th kept -cosine never grows.
         """
+        if any(map(str.isspace, token)):
+            raise ValueError(f"n-gram query {token!r} holds whitespace")
         if k <= 0:
             return []
         query = self.vector(token)
@@ -240,24 +242,18 @@ class NgramIndex:
         e = query[last] * self._idf[last] if ends else 0.0
         heads, tails = self._heads, self._tails
         dots: dict[int, float] = {}
-        for i, gram in enumerate(grams):
-            weight = query[gram]
-            postings = self._postings.get(gram, ())
-            if 0 < i < len(grams) - 1 and gram in self._edges:
-                # a start or end gram inside the token, which holds a pad character
-                idf = self._idf[gram]
-                postings = [*postings, *((word_id, idf) for word_id in self._edges[gram])]
-            for word_id, posting_weight in postings:
+        for gram, weight in query.items():
+            for word_id, posting_weight in self._postings.get(gram, ()):
                 dot = dots.get(word_id)
                 if dot is None:
-                    dot = s if heads[word_id] is starts or tails[word_id] is starts else 0.0
+                    dot = s if heads[word_id] is starts else 0.0
                 dots[word_id] = dot + weight * posting_weight
         norms, counts, words = self._norms, self._counts, self._words
         # the best (-cosine, -count, word) so far; every weight is positive,
         # so is every dot
         kept: list[tuple[float, int, str]] = []
         for word_id, dot in dots.items():
-            if heads[word_id] is ends or tails[word_id] is ends:
+            if tails[word_id] is ends:
                 dot += e
             score = -dot / (qnorm * norms[word_id])
             if len(kept) < k or score <= kept[-1][0]:
@@ -269,7 +265,7 @@ class NgramIndex:
                 scale = qnorm * norms[word_id]
                 if len(kept) == k and -top / scale > kept[-1][0]:
                     break
-                dot = top if scan is ends or heads[word_id] is ends or tails[word_id] is ends else s
+                dot = top if scan is ends or tails[word_id] is ends else s
                 dots[word_id] = dot  # scored: the second scan skips it
                 _keep(kept, k, (-dot / scale, -counts[word_id], words[word_id]))
         return [(word, -score) for score, _, word in kept]
@@ -369,8 +365,8 @@ class PipelineConfig:
     topk: int = 10
 
     def __post_init__(self) -> None:
-        if len(self.weights) != 4 or any(w < 0 for w in self.weights):
-            raise ValueError("weights must be four non-negative numbers")
+        if len(self.weights) != 4 or not all(0 <= w < math.inf for w in self.weights):
+            raise ValueError("weights must be four finite non-negative numbers")
         if self.max_edit_distance not in (1, 2):
             raise ValueError("max_edit_distance must be 1 or 2")
         if not (isinstance(self.ngram_n, int) and self.ngram_n >= 1):

@@ -27,6 +27,11 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN_RE.findall(sentence)
 
 
+def is_token(text: str) -> bool:
+    """True for exactly the strings that `tokenize` returns as one token."""
+    return text.isalpha() or _TOKEN_RE.fullmatch(text) is not None  # letters skip the regex
+
+
 def splice(sentence: str, tokens: list[str], replacements: list[str]) -> str:
     """Rewrite `sentence` with each of its `tokens` replaced in place.
 

@@ -58,8 +58,8 @@ def reference_corrupt_token(token: str, dictionary: VariantDictionary, u: float)
     Punctuation and out-of-dictionary tokens pass through. Lookup strips a
     leading article clitic and tries the exact form before falling back to
     a case-folded match, restoring the original casing pattern afterwards.
-    Variants containing whitespace are skipped: replacements must stay 1:1
-    at the token level.
+    A replacement that does not tokenize back to itself alone is skipped:
+    replacements must stay 1:1 at the token level.
     """
     if is_punctuation(token):
         return token
@@ -69,11 +69,10 @@ def reference_corrupt_token(token: str, dictionary: VariantDictionary, u: float)
         return token
     variants = dictionary.variants(key)
     variant = variants[reference_pick_index([e.count for e in variants], u)].variant
-    if any(ch.isspace() for ch in variant):
-        return token
     if key != core:
         variant = apply_case_pattern(core, variant)
-    return prefix + variant
+    replacement = prefix + variant
+    return replacement if reference_tokenize(replacement) == [replacement] else token
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -185,7 +184,7 @@ def neighborhood_distances(token: str, max_distance: int, alphabet: str) -> dict
 
 
 def _reference_ngrams(word: str, n: int) -> list[str]:
-    padded = "\x02" * (n - 1) + word + "\x03" * (n - 1)
+    padded = "\t" * (n - 1) + word + "\n" * (n - 1)
     return [padded[i : i + n] for i in range(len(padded) - n + 1)]
 
 

@@ -72,6 +72,19 @@ class TestLoadSuite:
         with pytest.raises(ParseError, match="corruption is missing"):
             load_suite(path)
 
+    @pytest.mark.parametrize("expected", ["asw.", "gutt a", ""])
+    def test_expected_form_must_be_one_token(self, tmp_path, expected):
+        # a CORRECT unit whose expected form is not one token could never pass
+        path = tmp_path / "suite.tsv"
+        path.write_text(
+            "Cat\tPRESERVE\tAlles gutt.\t\t\tgloss\tcore\n"
+            f"Cat\tCORRECT\tDat ass gut.\t2\t{expected}\tgloss\tcore\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match="not one token") as excinfo:
+            load_suite(path)
+        assert excinfo.value.line == 2
+
     def test_preserve_with_target_rejected(self, tmp_path):
         path = tmp_path / "suite.tsv"
         path.write_text("Cat\tPRESERVE\tAlles gutt.\t1\tx\tgloss\tcore\n", encoding="utf-8")

@@ -136,6 +136,18 @@ class TestNormalizeCommand:
         assert code == EXIT_OK
         assert out.read_text(encoding="utf-8") == workspace["gold"].read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("resource, line", [("lexicon", "gutt a\t5\n"),
+                                                ("dict", "asw.\tasw\t1\n")], ids=["lexicon", "dict"])
+    def test_form_that_is_not_one_token_is_data_error(self, workspace, tmp_path, capsys,
+                                                        resource, line):
+        path = workspace[resource]
+        path.write_text(path.read_text(encoding="utf-8") + line, encoding="utf-8")
+        code = main(["normalize", "--dict", str(workspace["dict"]),
+                     "--lexicon", str(workspace["lexicon"]),
+                     "--in", str(workspace["orig"]), "--out", str(tmp_path / "o.txt")])
+        assert code == EXIT_DATA
+        assert "not one token" in capsys.readouterr().err
+
 
 class TestAlignCommand:
     def test_dump_contains_gap_markers(self, tmp_path):
@@ -502,11 +514,19 @@ class TestConfig:
         triple = ["--orig", str(workspace["orig"]), "--pred", str(workspace["orig"]),
                   "--gold", str(workspace["gold"])]
         synth = ["synth", "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "p.jsonl")]
+        # json.loads reads NaN and -Infinity
+        nan_config, inf_config = tmp_path / "nan.json", tmp_path / "inf.json"
+        nan_config.write_text('{"weights": [NaN, 1, 1, 1]}')
+        inf_config.write_text('{"weights": [1, 1, -Infinity, 1]}')
         for argv, key in (
             (normalize + inputs + ["--topk", "-1"], "topk"),
             (normalize + inputs + ["--ngram-n", "0"], "ngram_n"),
             (normalize + inputs + ["--workers", "0"], "workers"),
             (normalize + inputs + ["--weights=-1,0,0,0"], "weights"),
+            (normalize + inputs + ["--weights", "nan,1,1,1"], "weights"),
+            (normalize + inputs + ["--weights", "1,inf,1,1"], "weights"),
+            (["run", *inputs, "--config", str(nan_config)], "weights"),
+            (["run", *inputs, "--config", str(inf_config)], "weights"),
             (normalize + inputs + ["--max-edit-distance", "3"], "max_edit_distance"),
             (normalize + missing, "dictionary"),
             (["checklist", *inputs, "--workers", "0"], "workers"),

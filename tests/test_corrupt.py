@@ -65,6 +65,13 @@ class TestCorruptSentence:
         assert pair.source == "vläicht muer"
         assert pair.changed_tokens == 0
 
+    def test_variant_with_edge_punctuation_skipped(self):
+        # "gut." would write two tokens, "gut" and ".", in the place of one
+        dictionary = make_dictionary({"gutt": {"gut.": 1}})
+        pair = corrupt_sentence("dat ass gutt elo", dictionary, random.Random(7))
+        assert pair.source == "dat ass gutt elo"
+        assert pair.changed_tokens == 0
+
     def test_unchanged_sentence_keeps_input_bytes(self):
         dictionary = make_dictionary({"x": {"y": 1}})
         pair = corrupt_sentence('ar "gutt" !', dictionary, random.Random(9))
@@ -99,6 +106,8 @@ cased = st.builds(lambda casing, stem: casing(stem), casings, stems)
 variant_texts = st.one_of(
     cased,
     st.builds(lambda a, gap, b: a + gap + b, stems, st.sampled_from([" ", "\u00a0"]), stems),
+    # a space or a "." anywhere: some replacements are not one token
+    st.text(alphabet="abë .", min_size=1, max_size=4),
 )
 # a draw at a fraction k/d, just below one, or anywhere in [0, 1)
 fractions = st.builds(lambda d, k: k % d / d, st.integers(1, 12), st.integers(0, 11))

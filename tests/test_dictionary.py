@@ -136,6 +136,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             VariantDictionary({"": [VariantEntry("x", 1)]})
 
+    @pytest.mark.parametrize("lemma", ["gutt a", "asw.", "(gutt"])
+    def test_lemma_must_be_one_token(self, tmp_path, lemma):
+        # normalize writes a lemma in one token's place
+        with pytest.raises(ValueError, match="not one token"):
+            VariantDictionary({"ass": [VariantEntry("as", 1)], lemma: [VariantEntry("guta", 1)]})
+        path = write_dict(tmp_path, f"ass\tas\t1\n{lemma}\tguta\t1\n")
+        with pytest.raises(ParseError, match="not one token") as excinfo:
+            load_dictionary(path)
+        assert excinfo.value.line == 2
+
     def test_rejects_tab_in_variant(self):
         with pytest.raises(ValueError):
             VariantDictionary({"a": [VariantEntry("x\ty", 1)]})

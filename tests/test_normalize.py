@@ -32,7 +32,7 @@ def reference_tfidf_cosine(lexicon_words: list[str], a: str, b: str, n: int = 3)
     """Direct quadratic tf-idf cosine, independent of the indexed version."""
 
     def grams(word: str) -> dict[str, int]:
-        padded = "\x02" * (n - 1) + word + "\x03" * (n - 1)
+        padded = "\t" * (n - 1) + word + "\n" * (n - 1)
         out: dict[str, int] = {}
         for i in range(len(padded) - n + 1):
             gram = padded[i : i + n]
@@ -89,6 +89,17 @@ class TestLexicon:
         path.write_text("Haus\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_lexicon(path)
+
+    @pytest.mark.parametrize("form", ["gutt a", "asw.", ""])
+    def test_form_must_be_one_token(self, tmp_path, form):
+        # normalize writes a form in one token's place
+        with pytest.raises(ValueError, match="not one token"):
+            Lexicon({"ass": 3, form: 1})
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"ass\t3\n{form}\t1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="not one token") as excinfo:
+            load_lexicon(path)
+        assert excinfo.value.line == 2
 
 
 # letters of LUX_ALPHABET plus characters that may only be deleted or moved
@@ -312,8 +323,8 @@ class TestNgramIndex:
         for k in range(len(counts) + 2):
             assert index.rank(token, k) == full[:k]
 
-    # mostly letters, with the two pad characters, which can put a start or
-    # end gram inside a word or token; "d" is in no word
+    # mostly letters, with two control characters that are ordinary
+    # characters to the index; "d" is in no word
     WORD_CHARS = "aaabbbcccëë\x02\x03"
 
     @given(
@@ -339,7 +350,7 @@ class TestNgramIndex:
     # `accdeb`'s norm is one ulp above `adecdb`'s, yet their bounds are equal:
     # stopping on the whole tuple at `adecdb` (count 1) misses `accdeb` (count 3)
     @example({"adecdb": 1, "accdeb": 3, "aeb": 1, "adeccb": 3}, "axb", 2)
-    # a start gram inside the token
+    # control characters inside a word and the token are ordinary characters
     @example({"ab": 1, "b\x02a": 1, "ca": 2}, "x\x02ab", 2)
     @settings(max_examples=300, deadline=None)
     def test_rank_matches_full_scan(self, counts, token, n):
@@ -348,6 +359,18 @@ class TestNgramIndex:
         reference = ReferenceNgramIndex(lexicon, n)
         for k in range(len(counts) + 3):
             assert index.rank(token, k) == reference.rank(token, k)
+
+    def test_control_characters_are_ordinary(self):
+        # no gram of "\x02a" is a gram of either word
+        index = NgramIndex(Lexicon({"abcd": 5, "xyzw": 2}))
+        assert index.rank("\x02a", 5) == []
+        assert index.rank("\x03", 5) == []
+
+    def test_query_with_whitespace_rejected(self):
+        index = NgramIndex(Lexicon({"abcd": 5, "xyzw": 2}))
+        for token in ("a b", "\ta", "a\n"):
+            with pytest.raises(ValueError, match="whitespace"):
+                index.rank(token, 3)
 
     def test_tie_breaks_by_frequency_then_form(self):
         # ab/ac/ad all share exactly the boundary gram with the query and

@@ -8,6 +8,7 @@ from luxnorm.tokenizer import (
     PUNCT,
     apply_case_pattern,
     is_punctuation,
+    is_token,
     splice,
     split_clitic,
     tokenize,
@@ -56,6 +57,18 @@ class TestTokenizeMatchesReference:
     @example("(a.b.) „x“ -'- ''")
     def test_same_tokens_as_chunk_peeling(self, sentence):
         assert tokenize(sentence) == reference_tokenize(sentence)
+
+
+class TestIsToken:
+    @given(st.text(alphabet=_TEXT, max_size=8))
+    @settings(max_examples=500)
+    @example("")
+    @example(".")
+    @example("asw.")
+    @example("gutt a")
+    @example("d'a-b")
+    def test_exactly_what_tokenize_returns_whole(self, text):
+        assert is_token(text) == (tokenize(text) == [text])
 
 
 class TestSplice:
