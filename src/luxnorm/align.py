@@ -5,9 +5,8 @@ are scored with a Levenshtein-based similarity mapped into [-1, 1]; gap
 columns cost a fixed penalty. The 3-sequence variant runs a cubic dynamic
 program instead of composing pairwise alignments, which would not yield
 consistent triples, but computes only the cells an optimal path can use,
-so its time follows those cells. Its memory, one flat list per cube, still
-grows with the product of the three lengths. Each distinct token pair is
-scored once per call.
+so its time follows those cells, and its memory follows the (i, j) rows the
+bound keeps. Each distinct token pair is scored once per call.
 """
 
 from __future__ import annotations
@@ -156,25 +155,22 @@ def _pair_scores(
 # two-sequence advances, then single advances.
 
 
-def _traceback(move: list[int], seqs: Sequence[Sequence[str]]) -> tuple[tuple[object, ...], ...]:
+def _traceback(move: Sequence, seqs: Sequence[Sequence[str]]) -> tuple[tuple[object, ...], ...]:
     """Columns of the optimal path, walked back from the last cell.
 
-    `move` is the row-major table of the moves that reached each cell,
-    with one axis of length len(seq) + 1 per sequence.
+    `move` is indexed by position, one level per sequence:
+    move[p0][p1]... is the move that reached the cell at those positions.
     """
-    strides = [1] * len(seqs)
-    for d in range(len(seqs) - 2, -1, -1):
-        strides[d] = strides[d + 1] * (len(seqs[d + 1]) + 1)
     position = [len(seq) for seq in seqs]
-    cell = len(move) - 1
     columns = []
-    while cell:
-        step = move[cell]
+    while any(position):
+        step = move
+        for p in position:
+            step = step[p]
         column = []
         for d, seq in enumerate(seqs):
             if step >> d & 1:
                 position[d] -= 1
-                cell -= strides[d]
                 column.append(seq[position[d]])
             else:
                 column.append(GAP)
@@ -185,20 +181,20 @@ def _traceback(move: list[int], seqs: Sequence[Sequence[str]]) -> tuple[tuple[ob
 
 def _pair_table(
     pair: Sequence[Sequence[float]], n: int, m: int, gp: float
-) -> tuple[list[list[float]], list[int]]:
+) -> tuple[list[list[float]], list[list[int]]]:
     """Pairwise Needleman-Wunsch over an n x m match-score matrix.
 
     Returns every row of the score table, so rows[i][j] is the best score
-    of the first i tokens against the first j, and the row-major move
-    table that `_traceback` walks. Ties prefer a match column, then a gap
-    in the first sequence, then a gap in the second.
+    of the first i tokens against the first j, and the rows of moves that
+    `_traceback` walks. Ties prefer a match column, then a gap in the
+    first sequence, then a gap in the second.
     """
     above = [0.0] + [gp * j for j in range(1, m + 1)]
     rows = [above]
-    move = [0] + [2] * m
+    moves = [[0] + [2] * m]
     for i in range(1, n + 1):
         row = [gp * i]
-        move.append(1)
+        move = [1]
         pair_i = pair[i - 1]
         for j in range(1, m + 1):
             best = above[j - 1] + pair_i[j - 1]
@@ -212,8 +208,9 @@ def _pair_table(
             row.append(best)
             move.append(best_move)
         rows.append(row)
+        moves.append(move)
         above = row
-    return rows, move
+    return rows, moves
 
 
 def _pair_bounds(pair: Sequence[Sequence[float]], n: int, m: int, gp: float) -> list[list[float]]:
@@ -242,8 +239,8 @@ def needleman_wunsch(
     gap in `b`.
     """
     (pair,) = _pair_scores((a, b), scheme)
-    rows, move = _pair_table(pair, len(a), len(b), scheme.gap_penalty)
-    return Alignment(_traceback(move, (a, b)), rows[-1][-1])
+    rows, moves = _pair_table(pair, len(a), len(b), scheme.gap_penalty)
+    return Alignment(_traceback(moves, (a, b)), rows[-1][-1])
 
 
 def _bounded_cube(
@@ -252,12 +249,12 @@ def _bounded_cube(
     lengths: Sequence[int],
     gap_penalty: float,
     cutoff: float,
-) -> tuple[float, list[int]]:
+) -> tuple[float, list[dict[int, bytearray]]]:
     """The 3-sequence program over the cells whose bound is not below
-    `cutoff`; returns the last cell's score and the move table.
-
-    A skipped cell keeps the score -inf, so every computed score is that
-    of a real path and never above the full cube's.
+    `cutoff`; returns the last cell's score and move[i][j], the moves over
+    k of each (i, j) row kept. A cell skipped, or in a row not kept, scores
+    -inf, so every computed score is a real path's, never above the full
+    cube's. Scores are kept for the rows of i - 1 and i only.
     """
     op, og, pg = pairs
     u_op, u_og, u_pg = bounds
@@ -265,13 +262,10 @@ def _bounded_cube(
     gp2 = 2.0 * gap_penalty
     gp3 = 3.0 * gap_penalty
     no, np_, ng = lengths
-    depth = ng + 1
-    plane = (np_ + 1) * depth
-    size = (no + 1) * plane
     neg_inf = float("-inf")
-    score = [neg_inf] * size
-    move = [0] * size
-    score[0] = 0.0
+    missing = [neg_inf] * (ng + 1)
+    move: list[dict[int, bytearray]] = []
+    above: dict[int, list[float]] = {}
     ks = range(ng + 1)
     for i in range(no + 1):
         op_i = op[i - 1] if i else None
@@ -279,57 +273,61 @@ def _bounded_cube(
         u_op_i = u_op[i]
         u_og_i = u_og[i]
         top_og_i = max(u_og_i)
-        base_i = i * plane
+        here: dict[int, list[float]] = {}
+        move.append({})
         for j in range(np_ + 1):
             # the row's largest cell bound
             if u_op_i[j] + top_og_i + top_pg[j] < cutoff:
                 continue
             pg_j = pg[j - 1] if j else None
-            base_ij = base_i + j * depth
             s_op = op_i[j - 1] if i and j else 0.0
             head = u_op_i[j]
             u_pg_j = u_pg[j]
+            # rows (i-1, j-1), (i-1, j) and (i, j-1)
+            diag = above.get(j - 1, missing)
+            up = above.get(j, missing)
+            left = here.get(j - 1, missing)
+            score = here[j] = [neg_inf] * (ng + 1)
+            moves = move[i][j] = bytearray(ng + 1)
             for k in [k for k in ks if not head + u_og_i[k] + u_pg_j[k] < cutoff]:
-                if not (i or j or k):
-                    continue
                 s_og = og_i[k - 1] if i and k else 0.0
                 s_pg = pg_j[k - 1] if j and k else 0.0
-                cell = base_ij + k
                 best = neg_inf
                 best_move = 0
                 # Each column always contributes three pair scores; a pair
                 # touching a gap contributes gap_penalty.
                 if i and j and k:
-                    cand = score[cell - plane - depth - 1] + s_op + s_og + s_pg
+                    cand = diag[k - 1] + s_op + s_og + s_pg
                     if cand > best:
                         best, best_move = cand, 7
                 if i and j:
-                    cand = score[cell - plane - depth] + s_op + gp2
+                    cand = diag[k] + s_op + gp2
                     if cand > best:
                         best, best_move = cand, 3
                 if i and k:
-                    cand = score[cell - plane - 1] + s_og + gp2
+                    cand = up[k - 1] + s_og + gp2
                     if cand > best:
                         best, best_move = cand, 5
                 if j and k:
-                    cand = score[cell - depth - 1] + s_pg + gp2
+                    cand = left[k - 1] + s_pg + gp2
                     if cand > best:
                         best, best_move = cand, 6
                 if i:
-                    cand = score[cell - plane] + gp3
+                    cand = up[k] + gp3
                     if cand > best:
                         best, best_move = cand, 1
                 if j:
-                    cand = score[cell - depth] + gp3
+                    cand = left[k] + gp3
                     if cand > best:
                         best, best_move = cand, 2
                 if k:
-                    cand = score[cell - 1] + gp3
+                    cand = score[k - 1] + gp3
                     if cand > best:
                         best, best_move = cand, 4
-                score[cell] = best
-                move[cell] = best_move
-    return score[-1], move
+                score[k] = best if i or j or k else 0.0  # the origin
+                moves[k] = best_move
+        above = here
+    return above.get(np_, missing)[ng], move
 
 
 def align_triple(

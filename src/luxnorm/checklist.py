@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
-from luxnorm.align import GAP, ScoringScheme, needleman_wunsch
+from luxnorm.align import GAP, needleman_wunsch
 from luxnorm.errors import ParseError, parse_int, read_tsv
 from luxnorm.metrics import nfc
 from luxnorm.tokenizer import is_token, splice, tokenize
@@ -242,7 +242,7 @@ def _correct_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
     """
     input_tokens = tokenize(unit.sentence)
     output_tokens = tokenize(produced)
-    alignment = needleman_wunsch(input_tokens, output_tokens, ScoringScheme())
+    alignment = needleman_wunsch(input_tokens, output_tokens)
     success = False
     collateral = 0
     position = -1

@@ -23,7 +23,7 @@ from luxnorm.dictionary import load_dictionary
 from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError
 from luxnorm.experiment import StageError, build_normalizer, read_lines, run_experiment
 from luxnorm.metrics import evaluate_sentences
-from luxnorm.tokenizer import tokenize
+from luxnorm.tokenizer import is_token, tokenize
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -143,12 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_dict_validate(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(args.path)
-    variant_entries = sum(len(dictionary.variants(lemma)) for lemma in dictionary.lemmas())
-    total_count = sum(dictionary.total_count(lemma) for lemma in dictionary.lemmas())
+    rows = [dictionary.variants(lemma) for lemma in dictionary.lemmas()]
     print(f"lemmas\t{len(dictionary)}")
-    print(f"variant_entries\t{variant_entries}")
-    print(f"total_count\t{total_count}")
-    print(f"max_variants\t{max(len(dictionary.variants(l)) for l in dictionary.lemmas())}")
+    print(f"variant_entries\t{sum(map(len, rows))}")
+    print(f"total_count\t{sum(dictionary.total_count(lemma) for lemma in dictionary.lemmas())}")
+    print(f"max_variants\t{max(map(len, rows))}")
+    # synth leaves the token as written when it draws one of these
+    print(f"unwritable_variants\t{sum(not is_token(e.variant) for row in rows for e in row)}")
     return EXIT_OK
 
 

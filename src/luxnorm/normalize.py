@@ -288,9 +288,9 @@ def ngram_candidates(token: str, index: NgramIndex, k: int) -> list[tuple[str, f
 _ALPHABET_SET = frozenset(LUX_ALPHABET)
 
 
-def _walk(node: dict, token: str, i: int, budget: int, spent: int, found: dict[str, int]) -> None:
+def _walk(node: dict, token: str, i: int, budget: int, found: dict[str, int]) -> None:
     """Record in `found` every form below `node` within `budget` edits of
-    `token[i:]`, at `spent` plus its fewest edits.
+    `token[i:]`, at the most budget any of its walks has left.
 
     The greedy match down the token is a loop; recursion happens only on
     an edit, so it is at most budget + 1 deep. Some edit changes the first
@@ -304,28 +304,28 @@ def _walk(node: dict, token: str, i: int, budget: int, spent: int, found: dict[s
     while True:
         if budget:
             head = token[i : i + 1]
-            rest, cost = budget - 1, spent + 1
+            rest = budget - 1
             after = "" if rest else token[i + 1 : i + 2]  # what a last edit must match next
             if head and (rest or after in node):
-                _walk(node, token, i + 1, rest, cost, found)  # delete
+                _walk(node, token, i + 1, rest, found)  # delete
             for char, child in node.items():
                 if char in _ALPHABET_SET and char != head:  # the match covers char == head
                     if rest or head in child:
-                        _walk(child, token, i, rest, cost, found)  # insert
+                        _walk(child, token, i, rest, found)  # insert
                     if head and (rest or after in child):
-                        _walk(child, token, i + 1, rest, cost, found)  # substitute
+                        _walk(child, token, i + 1, rest, found)  # substitute
             if end - i > 1:
                 child = node.get(token[i + 1])
                 if child is not None and token[i + 1] != head and (rest or head in child):
-                    _walk(child, head + token[i + 2 :], 0, rest, cost, found)  # transpose
+                    _walk(child, head + token[i + 2 :], 0, rest, found)  # transpose
                 if rest and end - i > 2:
                     moved = token[i + 2] + head
-                    _walk(node, moved + token[i + 3 :], 0, rest - 1, cost + 1, found)
-                    _walk(node, moved + token[i + 1] + token[i + 3 :], 0, rest - 1, cost + 1, found)
+                    _walk(node, moved + token[i + 3 :], 0, rest - 1, found)
+                    _walk(node, moved + token[i + 1] + token[i + 3 :], 0, rest - 1, found)
         if i == end:
             form = node.get("")
-            if form is not None and found.get(form, spent + 1) > spent:
-                found[form] = spent
+            if form is not None and found.get(form, -1) < budget:
+                found[form] = budget
             return
         node = node.get(token[i])
         if node is None:
@@ -348,8 +348,9 @@ def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> dict
     if max_distance not in (1, 2):
         raise ValueError("max_distance must be 1 or 2")
     found: dict[str, int] = {}
-    _walk(lexicon.deletes_index(), token, 0, max_distance, 0, found)
-    return dict(sorted(found.items(), key=lambda item: (item[1], item[0])))
+    _walk(lexicon.deletes_index(), token, 0, max_distance, found)
+    order = sorted(found, key=lambda form: (-found[form], form))  # fewest edits first
+    return {form: max_distance - found[form] for form in order}
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -313,6 +314,44 @@ def test_related_long_triple_is_fast():
     result = align_triple(original, predicted, gold, SCHEME)
     assert time.perf_counter() - start < 3.0
     assert [kept(result, side) for side in range(3)] == [original, predicted, gold]
+
+
+# The child's own peak RSS: ru_maxrss would carry over exec, so it would
+# start at this process's peak.
+_ALIGN_PASSES_AND_PEAK = """
+import json, re, sys
+import luxnorm.align as align
+passes = []
+cube = align._bounded_cube
+align._bounded_cube = lambda *args: passes.append(args) or cube(*args)
+align.align_triple(*json.loads(sys.argv[1]))
+with open("/proc/self/status") as status:
+    print(len(passes), int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1]) // 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("related, length, passes, peak_mb", [
+    (True, 300, 1, 150),  # tables over the full cube would take about 410 MB
+    (False, 100, 2, 40),  # the first pass misses the optimum; the full cube would take 71 MB
+])
+def test_alignment_memory_follows_rows_kept(related, length, passes, peak_mb):
+    rng = random.Random(11)
+    words = ["".join(rng.choices("abcdeëfghi", k=rng.randint(1, 8))) for _ in range(60)]
+    gold = [rng.choice(words) for _ in range(length)]
+
+    def side() -> list[str]:
+        if not related:
+            return [rng.choice(words) for _ in gold]
+        return [rng.choice(words) if rng.random() < 0.1 else token
+                for token in gold if rng.random() >= 0.05]
+
+    triple = json.dumps([side(), side(), gold])
+    result = run_python(["-c", _ALIGN_PASSES_AND_PEAK, triple])
+    assert result.returncode == 0, result.stderr
+    got_passes, got_peak_mb = map(int, result.stdout.split())
+    assert got_passes == passes
+    assert got_peak_mb < peak_mb
 
 
 def test_scheme_rejects_gap_penalty_above_match():

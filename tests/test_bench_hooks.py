@@ -73,3 +73,34 @@ def test_traced_normalize_records_route_spans(monkeypatch):
         "normalize.edit_candidates",
         "normalize.NgramIndex.__init__",
     } <= names
+
+
+def test_traced_eval_and_checklist_record_align_spans(monkeypatch):
+    # `align.triple_ms.*`, `align.cells` and `align.nw_ms.p50` come from the
+    # align spans; `layer_metrics` reads `checklist.correct_s` and
+    # `checklist.preserve_s` with `trace.one`, which raises when a span is
+    # missing
+    from luxnorm import checklist, metrics
+    from luxnorm.checklist import Setup, TestSuite, TestUnit
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    suite = TestSuite(
+        [TestUnit(1, "spelling", Setup.CORRECT, "e gudd Joer", 1, "gutt"),
+         TestUnit(2, "spelling", Setup.PRESERVE, "alles gutt.")],
+        ["spelling"],
+    )
+    with tracer.installed(layers.TARGETS):
+        report, _ = metrics.evaluate_sentences(
+            ["e gudd Joer", "alles gutt."], ["e gutt Joer", "alles gutt."],
+            ["e gutt Joer", "alles gutt."])
+        suite_report = checklist.run_suite(list, suite)
+    names = [span.name for span in tracer.spans()]
+    assert (report.tp, report.fp, report.fn) == (1, 0, 0)
+    assert suite_report.cell("spelling", Setup.CORRECT).success_rate == 0
+    assert suite_report.cell("spelling", Setup.PRESERVE).success_rate == 100
+    assert names.count("align.align_triple") == 2
+    assert "align.needleman_wunsch" in names
+    assert names.count("checklist.run_correct_setup") == 1
+    assert names.count("checklist.run_preserve_setup") == 1

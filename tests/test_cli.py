@@ -55,6 +55,16 @@ class TestDictValidate:
         assert main(["dict", "validate", str(workspace["dict"])]) == EXIT_OK
         out = capsys.readouterr().out
         assert "lemmas\t20" in out
+        assert "unwritable_variants\t0" in out
+
+    def test_counts_variants_that_are_not_one_token(self, tmp_path, capsys):
+        path = tmp_path / "variants.tsv"
+        path.write_text("gutt\tgut.\t99\ngutt\tgut\t1\nvläicht\tvläi cht\t2\n",
+                        encoding="utf-8")
+        assert main(["dict", "validate", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "variant_entries\t3" in out
+        assert "unwritable_variants\t2" in out
 
     def test_malformed_dictionary_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
