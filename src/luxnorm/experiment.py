@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +96,9 @@ def build_normalizer(config: RunConfig):
 def run_experiment(config: RunConfig) -> ExperimentReport:
     """Execute normalize -> align/metrics -> checklist and write reports.
 
+    The eval corpus and the suite are normalized as one batch: one `cmd:`
+    launch, one pool. If it fails or returns the wrong number of lines, the
+    two go apart, and a suite unit can fail alone as `<error>`.
     Any stage failure raises StageError with the stage name; artifacts
     written by completed stages stay in the output directory.
     """
@@ -111,13 +115,23 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     original = stage("read-eval-corpus", lambda: read_lines(config.eval_original))
     gold = stage("read-eval-corpus", lambda: read_lines(config.eval_gold))
+    suite = stage("load-suite", lambda: load_suite(config.suite))
+    sentences = [unit.sentence for unit in suite.units]
 
     def normalize():
         if config.predictions is not None:
-            return read_predictions(config.predictions, len(original))
-        return normalizer(original)
+            return read_predictions(config.predictions, len(original)), normalizer
+        try:
+            outputs = list(normalizer(original + sentences))
+        except Exception as exc:  # noqa: BLE001 - the two calls below report it
+            logging.getLogger(__name__).warning("one batch failed (%s); normalizing apart", exc)
+            outputs = []
+        if len(outputs) != len(original) + len(sentences):
+            return normalizer(original), normalizer
+        # run_suite's one call gets the suite's outputs, by position
+        return outputs[: len(original)], lambda _: outputs[len(original):]
 
-    predicted = stage("normalize", normalize)
+    predicted, suite_normalizer = stage("normalize", normalize)
     (out_dir / "predictions.txt").write_text(
         "".join(line + "\n" for line in predicted), encoding="utf-8"
     )
@@ -125,8 +139,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     metrics, _ = stage(
         "evaluate", lambda: evaluate_sentences(original, predicted, gold, scheme)
     )
-    suite = stage("load-suite", lambda: load_suite(config.suite))
-    suite_report = stage("checklist", lambda: run_suite(normalizer, suite))
+    suite_report = stage("checklist", lambda: run_suite(suite_normalizer, suite))
 
     checksums = {}
     for key in ("dictionary", "lexicon", "eval_original", "eval_gold", "suite", "predictions"):

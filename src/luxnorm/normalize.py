@@ -13,6 +13,8 @@ line on stdin, exactly one normalized sentence per line on stdout.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import gc
 import math
 import shlex
 import subprocess
@@ -41,6 +43,19 @@ _PAD_START = "\t"
 _PAD_END = "\n"
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause automatic garbage collection, restoring the caller's setting: an
+    index build makes only live, acyclic objects, which no pass could free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Lexicon:
     """Known-correct word forms with corpus frequencies."""
 
@@ -64,11 +79,12 @@ class Lexicon:
         name of the deletes index it replaced stays for the benchmark hook."""
         if self._trie is None:
             root: dict = {}
-            for word in self._counts:
-                node = root
-                for char in word:
-                    node = node.setdefault(char, {})
-                node[""] = word
+            with _collector_paused():
+                for word in self._counts:
+                    node = root
+                    for char in word:
+                        node = node.setdefault(char, {})
+                    node[""] = word
             self._trie = root
         return self._trie
 
@@ -140,6 +156,7 @@ class NgramIndex:
     stop early.
     """
 
+    @_collector_paused()
     def __init__(self, lexicon: Lexicon, n: int = 3):
         if n < 1:
             raise ValueError("n-gram size must be >= 1")

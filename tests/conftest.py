@@ -82,3 +82,38 @@ def tiny_dictionary() -> VariantDictionary:
             "kieren": {"kieren": 1},
         }
     )
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    """A small self-consistent workspace: dictionary, lexicon, eval corpus."""
+    rng = random.Random(31)
+    vocab = distant_vocabulary(rng, 20)
+    variants = {w: mutate_word(rng, w) for w in vocab}
+    dict_path = tmp_path / "variants.tsv"
+    dict_path.write_text(
+        "".join(f"{w}\t{v}\t1\n" for w, v in variants.items()), encoding="utf-8"
+    )
+    lexicon_path = tmp_path / "lexicon.tsv"
+    lexicon_path.write_text("".join(f"{w}\t5\n" for w in vocab), encoding="utf-8")
+    gold_lines = [" ".join(rng.choices(vocab, k=5)) + "." for _ in range(12)]
+    orig_lines = []
+    for line in gold_lines:
+        tokens = line[:-1].split()
+        corrupt_at = rng.randrange(len(tokens))
+        tokens[corrupt_at] = variants[tokens[corrupt_at]]
+        orig_lines.append(" ".join(tokens) + ".")
+    orig_path = tmp_path / "orig.txt"
+    gold_path = tmp_path / "gold.txt"
+    orig_path.write_text("".join(l + "\n" for l in orig_lines), encoding="utf-8")
+    gold_path.write_text("".join(l + "\n" for l in gold_lines), encoding="utf-8")
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_text("".join(l + "\n" for l in gold_lines), encoding="utf-8")
+    return {
+        "dir": tmp_path,
+        "dict": dict_path,
+        "lexicon": lexicon_path,
+        "orig": orig_path,
+        "gold": gold_path,
+        "corpus": corpus_path,
+    }

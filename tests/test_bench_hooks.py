@@ -104,3 +104,28 @@ def test_traced_eval_and_checklist_record_align_spans(monkeypatch):
     assert "align.needleman_wunsch" in names
     assert names.count("checklist.run_correct_setup") == 1
     assert names.count("checklist.run_preserve_setup") == 1
+
+
+def test_traced_run_records_one_normalize_and_one_suite_span(monkeypatch, workspace, tmp_path):
+    # `experiment.normalize_s` and `experiment.checklist_s` sum these spans
+    # among the children of `experiment.run_experiment`; the eval corpus and
+    # the suite go to the normalizer as one batch, which the checklist reuses
+    from luxnorm import experiment
+    from luxnorm.config import RunConfig
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    config = RunConfig(
+        dictionary=workspace["dict"],
+        lexicon=workspace["lexicon"],
+        eval_original=workspace["orig"],
+        eval_gold=workspace["gold"],
+        output_dir=tmp_path / "out",
+    )
+    with tracer.installed(layers.TARGETS):
+        experiment.run_experiment(config)
+    spans = tracer.spans()
+    (run,) = [i for i, span in enumerate(spans) if span.name == "experiment.run_experiment"]
+    for name in ("normalize.Pipeline.normalize_lines", "checklist.run_suite"):
+        assert [span.parent for span in spans if span.name == name] == [run], name

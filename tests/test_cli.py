@@ -2,52 +2,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import shlex
 import sys
 from dataclasses import fields
 
 import pytest
 
-from conftest import distant_vocabulary, make_dictionary, mutate_word, run_python
+from conftest import make_dictionary, run_python
+from luxnorm import experiment
+from luxnorm.checklist import Setup, load_suite
 from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, build_parser, main
 from luxnorm.config import ConfigError, RunConfig, build_config, effective_workers
 from luxnorm.experiment import StageError, run_experiment
-
-
-@pytest.fixture
-def workspace(tmp_path):
-    """A small self-consistent workspace: dictionary, lexicon, eval corpus."""
-    rng = random.Random(31)
-    vocab = distant_vocabulary(rng, 20)
-    variants = {w: mutate_word(rng, w) for w in vocab}
-    dict_path = tmp_path / "variants.tsv"
-    dict_path.write_text(
-        "".join(f"{w}\t{v}\t1\n" for w, v in variants.items()), encoding="utf-8"
-    )
-    lexicon_path = tmp_path / "lexicon.tsv"
-    lexicon_path.write_text("".join(f"{w}\t5\n" for w in vocab), encoding="utf-8")
-    gold_lines = [" ".join(rng.choices(vocab, k=5)) + "." for _ in range(12)]
-    orig_lines = []
-    for line in gold_lines:
-        tokens = line[:-1].split()
-        corrupt_at = rng.randrange(len(tokens))
-        tokens[corrupt_at] = variants[tokens[corrupt_at]]
-        orig_lines.append(" ".join(tokens) + ".")
-    orig_path = tmp_path / "orig.txt"
-    gold_path = tmp_path / "gold.txt"
-    orig_path.write_text("".join(l + "\n" for l in orig_lines), encoding="utf-8")
-    gold_path.write_text("".join(l + "\n" for l in gold_lines), encoding="utf-8")
-    corpus_path = tmp_path / "corpus.txt"
-    corpus_path.write_text("".join(l + "\n" for l in gold_lines), encoding="utf-8")
-    return {
-        "dir": tmp_path,
-        "dict": dict_path,
-        "lexicon": lexicon_path,
-        "orig": orig_path,
-        "gold": gold_path,
-        "corpus": corpus_path,
-    }
 
 
 class TestDictValidate:
@@ -263,6 +229,15 @@ class TestEvalCommand:
         assert "sentence\ttp\tfp\tfn\ttn" in text
 
 
+def counting_identity(launches) -> str:
+    """A `cmd:` identity normalizer that appends a line to `launches` per launch."""
+    script = (
+        f"import sys; open({str(launches)!r}, 'a').write('launch\\n'); "
+        "sys.stdout.write(sys.stdin.read())"
+    )
+    return f"cmd:{sys.executable} -c {shlex.quote(script)}"
+
+
 class TestChecklistCommand:
     def test_identity_normalizer_summary(self, tmp_path, capsys):
         report = tmp_path / "suite.tsv"
@@ -285,11 +260,7 @@ class TestChecklistCommand:
     def test_external_command_normalizer(self, tmp_path):
         # the whole suite goes to the command in one batch: one launch
         launches = tmp_path / "launches.txt"
-        script = (
-            f"import sys; open({str(launches)!r}, 'a').write('launch\\n'); "
-            "sys.stdout.write(sys.stdin.read())"
-        )
-        identity_cmd = f"cmd:{sys.executable} -c {shlex.quote(script)}"
+        identity_cmd = counting_identity(launches)
         report = tmp_path / "suite.tsv"
         code = main(["checklist", "--normalizer", identity_cmd, "--report", str(report), "--format", "tsv"])
         assert code == EXIT_OK
@@ -345,6 +316,51 @@ class TestRunCommand:
             data["config"].pop("workers")
             reports.append(data)
         assert reports[0] == reports[1]
+
+    def test_external_command_is_launched_once(self, workspace, tmp_path):
+        # the eval corpus and the suite go to the command in one batch
+        launches = tmp_path / "launches.txt"
+        reports = []
+        for name, normalizer in (("cmd", counting_identity(launches)), ("identity", "identity")):
+            out_dir = tmp_path / name
+            assert self.run_once(workspace, out_dir, extra=("--normalizer", normalizer)) == EXIT_OK
+            data = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+            del data["timestamp"], data["config"]
+            reports.append(data)
+        assert launches.read_text(encoding="utf-8") == "launch\n"
+        assert reports[0] == reports[1]
+
+    def test_failed_batch_falls_back_to_two_calls(self, workspace, tmp_path, monkeypatch):
+        # a normalizer that fails on the one batch and on one suite sentence:
+        # the eval corpus goes alone, and only that unit fails, as `<error>`
+        eval_lines = workspace["orig"].read_text(encoding="utf-8").splitlines()
+        bad = next(u for u in load_suite().units if u.setup is Setup.PRESERVE)
+
+        def flaky(sentences):
+            if len(sentences) > len(eval_lines) or bad.sentence in sentences:
+                raise RuntimeError("cannot normalize this batch")
+            return list(sentences)
+
+        def run(name):
+            return run_experiment(RunConfig(
+                normalizer="identity",
+                eval_original=workspace["orig"],
+                eval_gold=workspace["gold"],
+                output_dir=tmp_path / name,
+            ))
+
+        identity = run("identity")
+        monkeypatch.setattr(experiment, "build_normalizer", lambda config: flaky)
+        report = run("flaky")
+        predictions = (tmp_path / "flaky" / "predictions.txt").read_text(encoding="utf-8")
+        assert predictions.splitlines() == eval_lines
+        assert report.metrics == identity.metrics
+        key = (bad.category, bad.setup)
+        assert {k: c for k, c in report.suite.cells.items() if k != key} == {
+            k: c for k, c in identity.suite.cells.items() if k != key}
+        cell, expected = report.suite.cells[key], identity.suite.cells[key]
+        assert (cell.total, cell.successes) == (expected.total, expected.successes - 1)
+        assert [(f.unit_id, f.produced) for f in cell.failures] == [(bad.unit_id, "<error>")]
 
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         config_file = tmp_path / "config.json"

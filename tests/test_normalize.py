@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import pickle
 import random
@@ -20,6 +21,7 @@ from luxnorm.normalize import (
     NgramIndex,
     Pipeline,
     PipelineConfig,
+    _collector_paused,
     edit_candidates,
     load_lexicon,
     ngram_candidates,
@@ -551,6 +553,33 @@ class TestNormalizeLines:
         assert [copy.normalize_token(t) for t in tokens] == [
             pipeline.normalize_token(t) for t in tokens
         ]
+
+
+class TestCollectorPause:
+    """The index builds pause automatic collection and restore the
+    caller's setting, whatever it was."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_setting(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with _collector_paused():
+                assert not gc.isenabled()
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="inside"):
+                with _collector_paused():
+                    raise RuntimeError("inside")
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="n-gram size"):
+                NgramIndex(Lexicon({"haus": 1}), n=0)
+            assert gc.isenabled() is enabled
+            pipeline = build_pipeline()
+            assert gc.isenabled() is enabled
+            assert pipeline.lexicon.deletes_index()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 IDENTITY_CMD = [sys.executable, "-c", "import sys; sys.stdout.write(sys.stdin.read())"]
