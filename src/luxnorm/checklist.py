@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from luxnorm.align import GAP, needleman_wunsch
-from luxnorm.errors import ParseError, parse_int, read_tsv
+from luxnorm.errors import ParseError, ProtocolError, parse_int, read_tsv
 from luxnorm.metrics import nfc
 from luxnorm.tokenizer import is_token, splice, tokenize
 
@@ -258,29 +258,34 @@ def _correct_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
     return success, collateral
 
 
-def _run_normalizer(normalizer: Normalizer, sentences: list[str]) -> list[str | None]:
-    """Run a batch; on failure, retry per sentence so one bad unit cannot
-    take down the run. None marks sentences whose normalization failed."""
+def run_normalizer(
+    normalizer: Normalizer, sentences: list[str], fatal: int = 0
+) -> list[str | None]:
+    """Normalize a batch in one call; split a failed batch and retry.
+
+    A batch that raises or returns the wrong number of lines runs again
+    in two parts: after its first `fatal` sentences if it holds more,
+    else in halves. A part inside the first `fatal` sentences re-raises
+    the error (ProtocolError for a line-count mismatch); any other
+    sentence that fails alone comes back as None. One bad sentence costs
+    about 2 log2(n) calls; a normalizer that always fails, 2n - 1.
+    """
     try:
         outputs = list(normalizer(sentences))
-        if len(outputs) == len(sentences):
-            return outputs
-        logger.warning(
-            "normalizer returned %d outputs for %d inputs; retrying per sentence",
-            len(outputs),
-            len(sentences),
-        )
-    except Exception as exc:  # noqa: BLE001 - deliberately broad, run must continue
-        logger.warning("batch normalization failed (%s); retrying per sentence", exc)
-    outputs = []
-    for sentence in sentences:
-        try:
-            result = list(normalizer([sentence]))
-            outputs.append(result[0] if len(result) == 1 else None)
-        except Exception as exc:  # noqa: BLE001
-            logger.warning("normalization failed for %r: %s", sentence, exc)
-            outputs.append(None)
-    return outputs
+        if len(outputs) != len(sentences):
+            raise ProtocolError(
+                f"normalizer returned {len(outputs)} lines for {len(sentences)} inputs"
+            )
+        return outputs
+    except Exception as exc:  # noqa: BLE001 - one bad sentence must not sink the batch
+        if 0 < len(sentences) <= fatal:
+            raise
+        if len(sentences) < 2:
+            logger.warning("normalization failed for %r: %s", sentences, exc)
+            return [None] * len(sentences)
+    cut = fatal if fatal else len(sentences) // 2
+    head = run_normalizer(normalizer, sentences[:cut], fatal)
+    return head + run_normalizer(normalizer, sentences[cut:])
 
 
 def _preserve_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
@@ -336,7 +341,7 @@ def run_preserve_setup(
 
 def run_suite(normalizer: Normalizer, suite: TestSuite) -> SuiteReport:
     """Normalize every unit in one batch, then score both setups."""
-    outputs = _run_normalizer(normalizer, [u.sentence for u in suite.units])
+    outputs = run_normalizer(normalizer, [u.sentence for u in suite.units])
     report = SuiteReport(categories=list(suite.categories), cells={})
     for setup, score in ((Setup.CORRECT, run_correct_setup), (Setup.PRESERVE, run_preserve_setup)):
         chosen = [i for i, unit in enumerate(suite.units) if unit.setup is setup]

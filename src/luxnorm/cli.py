@@ -81,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     dict_sub = dict_parser.add_subparsers(dest="dict_command", required=True)
     validate = dict_sub.add_parser("validate", help="validate a dictionary and print statistics")
     validate.add_argument("path", type=Path)
+    validate.set_defaults(handler=_cmd_dict_validate)
 
     synth = sub.add_parser("synth", help="synthesize parallel noisy/standard pairs")
     synth.add_argument("--dict", dest="dictionary", type=Path, required=True)
@@ -89,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int)
     synth.add_argument("--stats", type=Path)
     synth.add_argument("--workers", type=int)
+    synth.set_defaults(handler=_cmd_synth)
 
     normalize = sub.add_parser("normalize", help="normalize sentences with the pipeline")
     normalize.add_argument("--dict", dest="dictionary", type=Path, required=True)
@@ -96,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     normalize.add_argument("--in", dest="input", type=Path, required=True)
     normalize.add_argument("--out", type=Path, required=True)
     normalize.add_argument("--workers", type=int)
+    normalize.set_defaults(handler=_cmd_normalize)
     _add_pipeline_flags(normalize)
 
     align = sub.add_parser("align", help="dump a 3-way word alignment for inspection")
@@ -103,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     align.add_argument("--pred", type=Path, required=True)
     align.add_argument("--gold", type=Path, required=True)
     align.add_argument("--dump", type=Path, required=True)
+    align.set_defaults(handler=_cmd_align)
     _add_scheme_flags(align)
 
     evaluate = sub.add_parser("eval", help="score predictions against gold references")
@@ -113,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--format", choices=("json", "tsv"), default="json")
     evaluate.add_argument("--verbose", action="store_true", help="per-sentence breakdown")
     evaluate.add_argument("--double-count-miscorrections", action="store_true")
+    evaluate.set_defaults(handler=_cmd_eval)
     _add_scheme_flags(evaluate)
 
     checklist = sub.add_parser("checklist", help="run the minimum-functionality suite")
@@ -123,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     checklist.add_argument("--report", type=Path)
     checklist.add_argument("--format", choices=("tsv", "table"), default="table")
     checklist.add_argument("--workers", type=int)
+    checklist.set_defaults(handler=_cmd_checklist)
     _add_pipeline_flags(checklist)
 
     run = sub.add_parser("run", help="full experiment: normalize, evaluate, checklist")
@@ -137,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--normalizer")
     run.add_argument("--workers", type=int)
+    run.set_defaults(handler=_cmd_run)
     _add_pipeline_flags(run)
     return parser
 
@@ -283,16 +290,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "normalize": _cmd_normalize,
-    "align": _cmd_align,
-    "eval": _cmd_eval,
-    "checklist": _cmd_checklist,
-    "run": _cmd_run,
-}
-
-
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, StageError):
         return _exit_code_for(exc.cause)
@@ -308,12 +305,8 @@ def _exit_code_for(exc: Exception) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "dict":
-        handler = _cmd_dict_validate
-    else:
-        handler = _COMMANDS[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - single exit point maps error classes
         print(f"luxnorm: error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

@@ -143,9 +143,6 @@ class ReverseIndex:
         """Case-insensitive lookup, merging all casings of the variant."""
         return list(self._fold.get(variant.casefold(), []))
 
-    def items(self) -> Iterable[tuple[str, list[tuple[str, int]]]]:
-        return self._index.items()
-
 
 def build_reverse_index(dictionary: VariantDictionary) -> ReverseIndex:
     """Invert lemma->variant into variant->lemma for normalization lookups."""

@@ -10,12 +10,11 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from luxnorm import __version__
-from luxnorm.checklist import SuiteReport, load_suite, render_report, run_suite
+from luxnorm.checklist import SuiteReport, load_suite, render_report, run_normalizer, run_suite
 from luxnorm.config import RunConfig, effective_workers
 from luxnorm.dictionary import build_reverse_index, load_dictionary
 from luxnorm.errors import ConfigError, LuxnormError, ProtocolError
@@ -97,8 +96,9 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     """Execute normalize -> align/metrics -> checklist and write reports.
 
     The eval corpus and the suite are normalized as one batch: one `cmd:`
-    launch, one pool. If it fails or returns the wrong number of lines, the
-    two go apart, and a suite unit can fail alone as `<error>`.
+    launch, one pool. A failed batch is split by `run_normalizer`: an eval
+    sentence that fails is stage `normalize`, a suite unit fails alone as
+    `<error>`.
     Any stage failure raises StageError with the stage name; artifacts
     written by completed stages stay in the output directory.
     """
@@ -121,13 +121,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     def normalize():
         if config.predictions is not None:
             return read_predictions(config.predictions, len(original)), normalizer
-        try:
-            outputs = list(normalizer(original + sentences))
-        except Exception as exc:  # noqa: BLE001 - the two calls below report it
-            logging.getLogger(__name__).warning("one batch failed (%s); normalizing apart", exc)
-            outputs = []
-        if len(outputs) != len(original) + len(sentences):
-            return normalizer(original), normalizer
+        outputs = run_normalizer(normalizer, original + sentences, fatal=len(original))
         # run_suite's one call gets the suite's outputs, by position
         return outputs[: len(original)], lambda _: outputs[len(original):]
 

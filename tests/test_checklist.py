@@ -15,6 +15,7 @@ from luxnorm.checklist import (
     load_suite,
     render_report,
     run_correct_setup,
+    run_normalizer,
     run_preserve_setup,
     run_suite,
 )
@@ -204,6 +205,60 @@ class TestRunSetups:
             assert failure.unit_id > 0
             assert failure.sentence
             assert failure.produced == failure.sentence  # identity output
+
+
+class TestRunNormalizer:
+    def test_one_bad_unit_is_isolated_by_halving(self, suite):
+        bad = suite.units[137]
+        calls = []
+
+        def flaky(sentences):
+            calls.append(len(sentences))
+            if bad.sentence in sentences:
+                raise RuntimeError("boom")
+            return list(sentences)
+
+        report = run_suite(flaky, suite)
+        assert len(calls) <= 19  # retrying each unit alone took 421
+        errors = [f.unit_id for cell in report.cells.values()
+                  for f in cell.failures if f.produced == "<error>"]
+        assert errors == [bad.unit_id]
+        expected = run_suite(identity, suite)
+        key = (bad.category, bad.setup)
+        assert {k: c for k, c in report.cells.items() if k != key} == {
+            k: c for k, c in expected.cells.items() if k != key}
+
+    def test_short_output_fails_only_that_sentence(self):
+        def drop_x(sentences):
+            return [s for s in sentences if s != "x"]
+
+        assert run_normalizer(drop_x, ["a", "x", "b", "c"]) == ["a", None, "b", "c"]
+
+    def test_fatal_prefix_reraises_the_normalizers_error(self):
+        error = RuntimeError("boom")
+        calls = []
+
+        def fails_on_a(sentences):
+            calls.append(list(sentences))
+            if "a" in sentences:
+                raise error
+            return list(sentences)
+
+        with pytest.raises(RuntimeError) as excinfo:
+            run_normalizer(fails_on_a, ["z", "a", "b", "c"], fatal=2)
+        assert excinfo.value is error
+        assert calls == [["z", "a", "b", "c"], ["z", "a"]]
+        assert run_normalizer(fails_on_a, ["z", "b", "a"], fatal=2) == ["z", "b", None]
+
+    def test_always_failing_normalizer_costs_2n_minus_1_calls(self):
+        calls = []
+
+        def broken(sentences):
+            calls.append(len(sentences))
+            raise RuntimeError("boom")
+
+        assert run_normalizer(broken, list("abcde")) == [None] * 5
+        assert len(calls) == 2 * 5 - 1
 
 
 class TestRenderReport:

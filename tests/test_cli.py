@@ -13,6 +13,7 @@ from luxnorm import experiment
 from luxnorm.checklist import Setup, load_suite
 from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, build_parser, main
 from luxnorm.config import ConfigError, RunConfig, build_config, effective_workers
+from luxnorm.errors import ProtocolError
 from luxnorm.experiment import StageError, run_experiment
 
 
@@ -330,7 +331,7 @@ class TestRunCommand:
         assert launches.read_text(encoding="utf-8") == "launch\n"
         assert reports[0] == reports[1]
 
-    def test_failed_batch_falls_back_to_two_calls(self, workspace, tmp_path, monkeypatch):
+    def test_failed_batch_is_split(self, workspace, tmp_path, monkeypatch):
         # a normalizer that fails on the one batch and on one suite sentence:
         # the eval corpus goes alone, and only that unit fails, as `<error>`
         eval_lines = workspace["orig"].read_text(encoding="utf-8").splitlines()
@@ -361,6 +362,59 @@ class TestRunCommand:
         cell, expected = report.suite.cells[key], identity.suite.cells[key]
         assert (cell.total, cell.successes) == (expected.total, expected.successes - 1)
         assert [(f.unit_id, f.produced) for f in cell.failures] == [(bad.unit_id, "<error>")]
+
+    def run_with(self, workspace, tmp_path, monkeypatch, normalizer):
+        monkeypatch.setattr(experiment, "build_normalizer", lambda config: normalizer)
+        return run_experiment(RunConfig(
+            normalizer="identity",
+            eval_original=workspace["orig"],
+            eval_gold=workspace["gold"],
+            output_dir=tmp_path / "out",
+        ))
+
+    def test_one_bad_suite_unit_costs_few_calls(self, workspace, tmp_path, monkeypatch):
+        bad = load_suite().units[300]
+        calls = []
+
+        def flaky(sentences):
+            calls.append(len(sentences))
+            if bad.sentence in sentences:
+                raise RuntimeError("cannot normalize this sentence")
+            return list(sentences)
+
+        report = self.run_with(workspace, tmp_path, monkeypatch, flaky)
+        assert len(calls) <= 21  # two fixed calls, then each suite unit alone, took 423
+        errors = [f.unit_id for cell in report.suite.cells.values()
+                  for f in cell.failures if f.produced == "<error>"]
+        assert errors == [bad.unit_id]
+
+    def test_failing_normalizer_stops_after_two_calls(self, workspace, tmp_path, monkeypatch):
+        error = RuntimeError("model failed to load")
+        calls = []
+
+        def broken(sentences):
+            calls.append(len(sentences))
+            raise error
+
+        with pytest.raises(StageError) as excinfo:
+            self.run_with(workspace, tmp_path, monkeypatch, broken)
+        assert excinfo.value.stage == "normalize"
+        assert excinfo.value.cause is error
+        assert len(calls) == 2
+
+    def test_short_eval_output_is_protocol_error(self, workspace, tmp_path, monkeypatch):
+        # one line short: stage `normalize` fails, no short predictions.txt
+        def short(sentences):
+            return list(sentences)[:-1]
+
+        with pytest.raises(StageError) as excinfo:
+            self.run_with(workspace, tmp_path, monkeypatch, short)
+        assert excinfo.value.stage == "normalize"
+        assert isinstance(excinfo.value.cause, ProtocolError)
+        assert not (tmp_path / "out" / "predictions.txt").exists()
+        argv = ["run", "--normalizer", "identity", "--eval-orig", str(workspace["orig"]),
+                "--eval-gold", str(workspace["gold"]), "--out-dir", str(tmp_path / "cli")]
+        assert main(argv) == EXIT_PROTOCOL
 
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         config_file = tmp_path / "config.json"

@@ -87,8 +87,10 @@ class TestReverseIndex:
 
     def test_index_pairs_exist_in_forward_dictionary(self, tiny_dictionary):
         index = build_reverse_index(tiny_dictionary)
-        for variant, lemmas in index.items():
-            for lemma, count in lemmas:
+        variants = {e.variant for lemma in tiny_dictionary.lemmas()
+                    for e in tiny_dictionary.variants(lemma)}
+        for variant in variants:
+            for lemma, count in index.lookup(variant):
                 assert VariantEntry(variant, count) in tiny_dictionary.variants(lemma)
 
     def test_folded_lookup_merges_casings(self):
