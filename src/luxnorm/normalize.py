@@ -72,11 +72,14 @@ class Lexicon:
             self._fold_counts[key] = self._fold_counts.get(key, 0) + count
         self._max_fold_count = max(self._fold_counts.values()) if counts else 1
         self._trie: dict | None = None
+        self._tails: dict | None = None
 
     def deletes_index(self) -> dict:
         """The forms' character trie, built lazily: each node maps a character
-        to the next node and holds its form, if any, under the key "". The
-        name of the deletes index it replaced stays for the benchmark hook."""
+        to the next node and holds its form, if any, under the key "". Its
+        tails, the merged subtrees of the root's alphabet letters, are built
+        with it. The name of the deletes index it replaced stays for the
+        benchmark hook."""
         if self._trie is None:
             root: dict = {}
             with _collector_paused():
@@ -85,13 +88,14 @@ class Lexicon:
                     for char in word:
                         node = node.setdefault(char, {})
                     node[""] = word
+                self._tails = _merged([root[char] for char in root if char in _ALPHABET_SET])
             self._trie = root
         return self._trie
 
     def __getstate__(self) -> dict:
-        # The trie nests one dict per character, too deep to pickle for a
-        # long form; a pool worker rebuilds it on first use.
-        return {**self.__dict__, "_trie": None}
+        # The trie and its tails nest one dict per character, too deep to
+        # pickle for a long form; a pool worker rebuilds them on first use.
+        return {**self.__dict__, "_trie": None, "_tails": None}
 
     def __contains__(self, word: str) -> bool:
         return word in self._counts
@@ -305,7 +309,37 @@ def ngram_candidates(token: str, index: NgramIndex, k: int) -> list[tuple[str, f
 _ALPHABET_SET = frozenset(LUX_ALPHABET)
 
 
-def _walk(node: dict, token: str, i: int, budget: int, found: dict[str, int]) -> None:
+def _merged(nodes: list[dict]) -> dict:
+    """The union of the tries `nodes`: a path only one of them has keeps
+    its node, and a path two or more share is a new dict, holding the tuple
+    of their forms, if any, under "". A stack, not recursion, walks the
+    shared paths, which can be as deep as the longest form."""
+    union: dict = {}
+    stack = [(union, nodes)]
+    while stack:
+        target, group = stack.pop()
+        children: dict[str, list[dict]] = {}
+        forms = []
+        for node in group:
+            for char, child in node.items():
+                if char:
+                    children.setdefault(char, []).append(child)
+                else:
+                    forms.append(child)
+        if forms:
+            target[""] = tuple(forms)
+        for char, shared in children.items():
+            if len(shared) == 1:
+                target[char] = shared[0]
+            else:
+                target[char] = {}
+                stack.append((target[char], shared))
+    return union
+
+
+def _walk(
+    node: dict, token: str, i: int, budget: int, found: dict[str, int], root: dict, tails: dict
+) -> None:
     """Record in `found` every form below `node` within `budget` edits of
     `token[i:]`, at the most budget any of its walks has left.
 
@@ -316,6 +350,11 @@ def _walk(node: dict, token: str, i: int, budget: int, found: dict[str, int]) ->
     substitute an alphabet character, and at budget 2 move `token[i + 2]`
     before `token[i]` after deleting or moving `token[i + 1]`, as edits
     compose freely (`2Ab` -> `2b` -> `b2`, `aa-` -> `a-a` -> `-aa`).
+
+    At `root`, an insert or substitute walks `tails`, the merged subtrees
+    of every alphabet letter, once, not each letter's subtree. That takes
+    in the letter of the match too, where the edit finds nothing the match
+    does not find with more budget left.
     """
     end = len(token)
     while True:
@@ -324,25 +363,33 @@ def _walk(node: dict, token: str, i: int, budget: int, found: dict[str, int]) ->
             rest = budget - 1
             after = "" if rest else token[i + 1 : i + 2]  # what a last edit must match next
             if head and (rest or after in node):
-                _walk(node, token, i + 1, rest, found)  # delete
-            for char, child in node.items():
-                if char in _ALPHABET_SET and char != head:  # the match covers char == head
-                    if rest or head in child:
-                        _walk(child, token, i, rest, found)  # insert
-                    if head and (rest or after in child):
-                        _walk(child, token, i + 1, rest, found)  # substitute
+                _walk(node, token, i + 1, rest, found, root, tails)  # delete
+            if node is root:
+                if rest or head in tails:
+                    _walk(tails, token, i, rest, found, root, tails)  # insert
+                if head and (rest or after in tails):
+                    _walk(tails, token, i + 1, rest, found, root, tails)  # substitute
+            else:
+                for char, child in node.items():
+                    if char in _ALPHABET_SET and char != head:  # the match covers char == head
+                        if rest or head in child:
+                            _walk(child, token, i, rest, found, root, tails)  # insert
+                        if head and (rest or after in child):
+                            _walk(child, token, i + 1, rest, found, root, tails)  # substitute
             if end - i > 1:
                 child = node.get(token[i + 1])
                 if child is not None and token[i + 1] != head and (rest or head in child):
-                    _walk(child, head + token[i + 2 :], 0, rest, found)  # transpose
+                    _walk(child, head + token[i + 2 :], 0, rest, found, root, tails)  # transpose
                 if rest and end - i > 2:
                     moved = token[i + 2] + head
-                    _walk(node, moved + token[i + 3 :], 0, rest - 1, found)
-                    _walk(node, moved + token[i + 1] + token[i + 3 :], 0, rest - 1, found)
+                    for front in (moved, moved + token[i + 1]):
+                        _walk(node, front + token[i + 3 :], 0, rest - 1, found, root, tails)
         if i == end:
-            form = node.get("")
-            if form is not None and found.get(form, -1) < budget:
-                found[form] = budget
+            forms = node.get("")
+            if forms is not None:
+                for form in (forms,) if type(forms) is str else forms:
+                    if found.get(form, -1) < budget:
+                        found[form] = budget
             return
         node = node.get(token[i])
         if node is None:
@@ -359,13 +406,18 @@ def edit_candidates(token: str, lexicon: Lexicon, max_distance: int = 2) -> dict
 
     One walk of the lexicon's trie finds them (Oflazer, Comput. Linguist.
     22(1), 1996), at a cost set by the trie nodes near the token's path.
+    An edit that writes the first letter walks the trie's tails, the merged
+    subtrees of the root's letters, so it leaves the root once, as in the
+    forward-backward method of Mihov and Schulz (Comput. Linguist. 30(4),
+    2004), here at position 0 only.
     """
     if not token:
         raise ValueError("cannot generate candidates for an empty token")
     if max_distance not in (1, 2):
         raise ValueError("max_distance must be 1 or 2")
     found: dict[str, int] = {}
-    _walk(lexicon.deletes_index(), token, 0, max_distance, found)
+    root = lexicon.deletes_index()
+    _walk(root, token, 0, max_distance, found, root, lexicon._tails)
     order = sorted(found, key=lambda form: (-found[form], form))  # fewest edits first
     return {form: max_distance - found[form] for form in order}
 
@@ -499,8 +551,9 @@ class Pipeline:
             if core not in self._token_cache and not self.lexicon.contains_folded(core)
         )
         if types:
-            # built before the pool starts: forked workers inherit it, while a
-            # pickled pipeline drops it and each spawned worker rebuilds it
+            # built before the pool starts: forked workers inherit the trie
+            # and its tails, while a pickled pipeline drops both and each
+            # spawned worker rebuilds them
             self.lexicon.deletes_index()
             results = ordered_map(_normalize_type, self, types, workers)
             # strict: exhausting the results also shuts the pool down here

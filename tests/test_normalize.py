@@ -244,6 +244,24 @@ class TestEditCandidates:
         got = edit_candidates(token, lexicon, max_distance)
         assert [(d, w) for w, d in got.items()] == want
 
+    def test_first_letter_edits_reach_every_shared_tail(self):
+        # haus, maus and Laus share the tail "aus" under three alphabet first
+        # letters, -aus and 2aus under two that no edit writes
+        lexicon = Lexicon({w: 1 for w in ["aus", "haus", "maus", "Laus", "-aus", "2aus", "hausen"]})
+        got = edit_candidates("xaus", lexicon, 2)
+        assert list(got.items()) == [("Laus", 1), ("aus", 1), ("haus", 1), ("maus", 1)]
+        got = edit_candidates("us", lexicon, 2)
+        assert list(got.items()) == [("aus", 1), ("Laus", 2), ("haus", 2), ("maus", 2)]
+        for token in ["xaus", "us", "aus", "haus", "aaus", "hau", "ausen"]:
+            for max_distance in (1, 2):
+                assert {"-aus", "2aus"}.isdisjoint(edit_candidates(token, lexicon, max_distance))
+
+    def test_deep_shared_tail_builds(self):
+        # two 2,000-character forms that differ only in their first letter
+        # share a 1,999-character tail
+        lexicon = Lexicon({"a" * 2000: 1, "b" + "a" * 1999: 1, "haus": 2})
+        assert edit_candidates("haus", lexicon, 2) == {"haus": 0}
+
     def test_very_long_token_is_fast(self):
         rng = random.Random(7)
         token = "".join(rng.choice(LUX_ALPHABET) for _ in range(10_000))
@@ -544,8 +562,9 @@ class TestNormalizeLines:
 
     def test_pickled_pipeline_drops_a_deep_trie(self):
         # spawn and forkserver pools pickle the pipeline, and the built
-        # trie nests one dict per character of its longest form
-        lexicon = Lexicon({"a" * 2000: 1, "haus": 2})
+        # trie nests one dict per character of its longest form; so do its
+        # tails, for the tail the two long forms share
+        lexicon = Lexicon({"a" * 2000: 1, "b" + "a" * 1999: 1, "haus": 2})
         pipeline = no_variant_pipeline(lexicon)
         lexicon.deletes_index()
         copy = pickle.loads(pickle.dumps(pipeline))
