@@ -42,6 +42,9 @@ LUX_ALPHABET = _LOWER + _LOWER.upper()
 _PAD_START = "\t"
 _PAD_END = "\n"
 
+# types per pool worker: 2 tie with 1 at 1,000 types, win from 1,500 (run-suite lexicon, 2 cores)
+NORMALIZE_PER_WORKER = 750
+
 
 @contextlib.contextmanager
 def _collector_paused():
@@ -534,10 +537,11 @@ class Pipeline:
     def normalize_lines(self, lines: Sequence[str], workers: int = 1) -> list[str]:
         """Normalize a batch of sentences, optionally across processes.
 
-        The batch's distinct unknown cores are normalized once each, on a
-        process pool when workers > 1 (each worker receives the pipeline
-        once); their results fill the token cache, from which the lines
-        are rebuilt. Output is the same for any worker count.
+        The batch's distinct unknown cores are normalized once each, on up
+        to `workers` processes, one per NORMALIZE_PER_WORKER types (each
+        receives the pipeline once), or in process when the batch is too
+        small for two; their results fill the token cache, from which the
+        lines are rebuilt. Output is the same for any worker count.
         """
         cores = {
             split_clitic(token)[1]
@@ -551,11 +555,11 @@ class Pipeline:
             if core not in self._token_cache and not self.lexicon.contains_folded(core)
         )
         if types:
-            # built before the pool starts: forked workers inherit the trie
-            # and its tails, while a pickled pipeline drops both and each
-            # spawned worker rebuilds them
+            # built here, so when a pool runs, its forked workers inherit
+            # the trie and its tails, while a pickled pipeline drops both
+            # and each spawned worker rebuilds them
             self.lexicon.deletes_index()
-            results = ordered_map(_normalize_type, self, types, workers)
+            results = ordered_map(_normalize_type, self, types, workers, NORMALIZE_PER_WORKER)
             # strict: exhausting the results also shuts the pool down here
             self._token_cache.update(zip(types, results, strict=True))
         return [self.normalize_sentence(line) for line in lines]

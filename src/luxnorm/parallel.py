@@ -1,10 +1,13 @@
 """Order-preserving map over a process pool, with per-worker state.
 
-`ordered_map(fn, state, items, workers)` yields `fn(state, item)` for each
-item, in input order. The pool initializer hands each worker `fn` and
-`state` once, so large state (a variant dictionary, a whole pipeline) is
-never pickled per chunk. `fn` must be a module-level function, so that it
-can be sent to a worker under any start method.
+`ordered_map(fn, state, items, workers, per_worker)` yields
+`fn(state, item)` for each item, in input order. `workers` is an upper
+bound: a pool gets at most one worker per `per_worker` items, the caller's
+measured minimum batch for a worker to pay for its start, and a batch too
+small for two workers runs in process. The pool initializer hands each
+worker `fn` and `state` once, so large state (a variant dictionary, a
+whole pipeline) is never pickled per chunk. `fn` must be a module-level
+function, so that it can be sent to a worker under any start method.
 """
 
 from __future__ import annotations
@@ -27,15 +30,16 @@ def _apply(item: Any) -> Any:
 
 
 def ordered_map(
-    fn: Callable[[Any, Any], Any], state: Any, items: Sequence[Any], workers: int
+    fn: Callable[[Any, Any], Any], state: Any, items: Sequence[Any], workers: int, per_worker: int
 ) -> Iterator[Any]:
-    """Yield `fn(state, item)` per item in order; in process for one worker
-    or one item, else on a pool of `min(workers, len(items))` processes."""
-    if workers <= 1 or len(items) <= 1:
+    """Yield `fn(state, item)` per item in order; on a pool of
+    `min(workers, len(items) // per_worker)` processes when that is two or
+    more, else in process."""
+    workers = min(workers, len(items) // per_worker)
+    if workers <= 1:
         for item in items:
             yield fn(state, item)
         return
-    workers = min(workers, len(items))
     chunksize = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(workers, initializer=_install, initargs=(fn, state)) as pool:
         yield from pool.map(_apply, items, chunksize=chunksize)

@@ -10,6 +10,7 @@ import pytest
 
 import luxnorm
 
+from luxnorm import corrupt, normalize, parallel
 from luxnorm.dictionary import VariantDictionary, VariantEntry
 
 
@@ -71,6 +72,24 @@ def run_python(args: list[str], timeout: float = 60) -> subprocess.CompletedProc
                               timeout=timeout, env=env)
     except subprocess.TimeoutExpired:
         pytest.fail(f"still running after {timeout} s: python {' '.join(args)}")
+
+
+@pytest.fixture
+def pool_starts(monkeypatch) -> list[int]:
+    """Lower every caller's minimum batch to one item per worker, so small
+    batches get a real pool, and record the worker count of each pool that
+    starts."""
+    starts: list[int] = []
+
+    class RecordedPool(parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            starts.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(normalize, "NORMALIZE_PER_WORKER", 1)
+    monkeypatch.setattr(corrupt, "CORRUPT_PER_WORKER", 1)
+    return starts
 
 
 @pytest.fixture

@@ -290,7 +290,7 @@ def _write_workspace(tmp_path):
     (tmp_path / "gold.txt").write_text("".join(l + "\n" for l in gold), encoding="utf-8")
 
 
-def test_synth_and_run_deterministic_across_workers(tmp_path):
+def test_synth_and_run_deterministic_across_workers(tmp_path, pool_starts):
     """synth and run produce identical results with 1 and 8 workers; the
     report matches modulo the timestamp (and the worker/output settings
     that are deliberately part of the config snapshot)."""
@@ -314,6 +314,7 @@ def test_synth_and_run_deterministic_across_workers(tmp_path):
         assert code == 0
         synth_outputs.append(out.read_bytes() + stats.read_bytes())
     assert synth_outputs[0] == synth_outputs[1]
+    assert pool_starts == [8]
 
     run_reports = []
     run_artifacts = []
@@ -343,6 +344,7 @@ def test_synth_and_run_deterministic_across_workers(tmp_path):
         )
     assert run_reports[0] == run_reports[1]
     assert run_artifacts[0] == run_artifacts[1]
+    assert pool_starts == [8, 8]
     passed("determinism: synth and run identical across 1- and 8-worker executions")
 
 

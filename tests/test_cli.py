@@ -77,7 +77,7 @@ class TestSynth:
         assert "no non-blank sentences" in capsys.readouterr().err
         assert out.read_bytes() == b'{"kept": true}\n'
 
-    def test_byte_identical_across_worker_counts(self, workspace, tmp_path):
+    def test_byte_identical_across_worker_counts(self, workspace, tmp_path, pool_starts):
         outputs = []
         for workers in ("1", "8"):
             out = tmp_path / f"pairs-{workers}.jsonl"
@@ -96,6 +96,7 @@ class TestSynth:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+        assert pool_starts == [8]
 
 
 class TestNormalizeCommand:
@@ -306,7 +307,7 @@ class TestRunCommand:
         assert (out_dir / "predictions.txt").exists()
         assert (out_dir / "suite_report.txt").exists()
 
-    def test_reports_identical_modulo_timestamp(self, workspace, tmp_path):
+    def test_reports_identical_modulo_timestamp(self, workspace, tmp_path, pool_starts):
         reports = []
         for name, workers in (("a", ()), ("b", ("--workers", "8"))):
             out_dir = tmp_path / name
@@ -317,6 +318,7 @@ class TestRunCommand:
             data["config"].pop("workers")
             reports.append(data)
         assert reports[0] == reports[1]
+        assert pool_starts == [8]
 
     def test_external_command_is_launched_once(self, workspace, tmp_path):
         # the eval corpus and the suite go to the command in one batch

@@ -207,12 +207,13 @@ class TestDeterminism:
         second = list(iter_corrupted(lines, dictionary, seed=42))
         assert first == second
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, pool_starts):
         dictionary = make_dictionary({"gutt": {"gut": 1, "gutt": 1}})
         lines = [f"nummer {i} ass gutt" for i in range(40)]
         serial = list(iter_corrupted(lines, dictionary, seed=5, workers=1))
         parallel = list(iter_corrupted(lines, dictionary, seed=5, workers=4))
         assert serial == parallel
+        assert pool_starts == [4]
 
     def test_monotone_coverage(self):
         # removing a lemma never increases changed_tokens anywhere, because

@@ -551,9 +551,10 @@ class TestNormalizeLines:
         pipeline = build_pipeline()
         return [pipeline.normalize_sentence(line) for line in lines]
 
-    def test_two_workers_match_serial(self):
+    def test_two_workers_match_serial(self, pool_starts):
         pipeline = build_pipeline()
         assert pipeline.normalize_lines(self.BATCH, workers=2) == self.serial(self.BATCH)
+        assert pool_starts == [2]
         overlapping = self.BATCH[1:] + ["gut Drénk, l'Mellechs!"]
         assert pipeline.normalize_lines(overlapping, workers=2) == self.serial(overlapping)
 
