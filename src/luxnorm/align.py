@@ -87,12 +87,18 @@ def levenshtein(a: str, b: str) -> int:
         return len(a)
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 1:
+        # keep b's character if a has it, else substitute it; delete the rest
+        return len(a) - (b in a)
     # bit i of peq[c] is set where b[i] == c
     peq: dict[str, int] = {}
     bit = 1
     for char in b:
         peq[char] = peq.get(char, 0) | bit
         bit <<= 1
+    if peq.keys().isdisjoint(a):
+        # no character in common: every column of an alignment costs one
+        return len(a)
     mask = bit - 1
     last = bit >> 1
     plus, minus, distance = mask, 0, len(b)
@@ -213,14 +219,37 @@ def _pair_table(
     return rows, moves
 
 
-def _pair_bounds(pair: Sequence[Sequence[float]], n: int, m: int, gp: float) -> list[list[float]]:
+def _pair_rows(pair: Sequence[Sequence[float]], m: int, gp: float) -> list[list[float]]:
+    """The score rows of `_pair_table`, without its moves: the same
+    candidates in the same order, so the same floats."""
+    above = [0.0] + [gp * j for j in range(1, m + 1)]
+    rows = [above]
+    for i, pair_i in enumerate(pair, 1):
+        left = gp * i
+        row = [left]
+        for diag, up, score in zip(above, above[1:], pair_i):
+            best = diag + score
+            cand = left + gp
+            if cand > best:
+                best = cand
+            cand = up + gp
+            if cand > best:
+                best = cand
+            row.append(best)
+            left = best
+        rows.append(row)
+        above = row
+    return rows
+
+
+def _pair_bounds(pair: Sequence[Sequence[float]], m: int, gp: float) -> list[list[float]]:
     """Best pairwise score of any alignment through each cell (i, j).
 
     The forward table scores the prefixes; the table of the matrix
     reversed in both axes scores the suffixes, read back to front.
     """
-    forward, _ = _pair_table(pair, n, m, gp)
-    backward, _ = _pair_table([row[::-1] for row in reversed(pair)], n, m, gp)
+    forward = _pair_rows(pair, m, gp)
+    backward = _pair_rows([row[::-1] for row in reversed(pair)], m, gp)
     return [
         [f + b for f, b in zip(row, reversed(suffix))]
         for row, suffix in zip(forward, reversed(backward))
@@ -358,11 +387,13 @@ def align_triple(
     pairs = op, og, pg = _pair_scores(seqs, scheme)
     lengths = no, np_, ng = [len(seq) for seq in seqs]
     gp = scheme.gap_penalty
-    bounds = u_op, u_og, u_pg = (
-        _pair_bounds(op, no, np_, gp),
-        _pair_bounds(og, no, ng, gp),
-        _pair_bounds(pg, np_, ng, gp),
-    )
+    # equal sequences have equal matrices against the third, so equal
+    # bounds: the corrected sentence often equals the gold one, and an
+    # untouched one the original
+    u_op = _pair_bounds(op, np_, gp)
+    u_og = u_op if gold == predicted else _pair_bounds(og, ng, gp)
+    u_pg = u_og if predicted == original else _pair_bounds(pg, ng, gp)
+    bounds = u_op, u_og, u_pg
     upper = u_op[0][0] + u_og[0][0] + u_pg[0][0]
     scale = abs(scheme.match_bonus) + abs(scheme.mismatch_penalty) + abs(gp)
     slack = 1e-6 * (1.0 + abs(upper) + scale * (no + np_ + ng))

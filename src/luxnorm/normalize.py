@@ -49,11 +49,20 @@ NORMALIZE_PER_WORKER = 750
 @contextlib.contextmanager
 def _collector_paused():
     """Pause automatic garbage collection, restoring the caller's setting: an
-    index build makes only live, acyclic objects, which no pass could free."""
+    index build makes only live, acyclic objects, which no pass could free.
+
+    A build that succeeds then moves every tracked object to the oldest
+    generation (a freeze and unfreeze, two list splices), so that the next
+    young collections do not walk the new index twice more before it gets
+    there anyway. Not while anything is frozen: unfreezing would release
+    the caller's frozen objects too."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if enabled:
             gc.enable()
@@ -190,7 +199,8 @@ class NgramIndex:
         self._words = words
         self._counts = [lexicon.count(word) for word in words]
         self._norms: list[float] = []
-        self._postings: dict[str, list[tuple[int, float]]] = {}
+        # each gram's postings, flat: word id, weight, word id, weight, ...
+        self._postings: dict[str, list[int | float]] = {}
         idf, postings = self._idf, self._postings
         for word_id, (tf, head, tail) in enumerate(zip(profiles, head_grams, tail_grams)):
             sq = 0.0
@@ -199,7 +209,7 @@ class NgramIndex:
                 sq += weight * weight
                 # a key of tf is the object its first occurrence put there
                 if gram is not head and gram is not tail:
-                    postings.setdefault(gram, []).append((word_id, weight))
+                    postings.setdefault(gram, []).extend((word_id, weight))
             self._norms.append(math.sqrt(sq))
         self._edges: dict[str, list[int]] = {
             gram: [] for gram in {*head_grams, *tail_grams} - {None}
@@ -267,7 +277,8 @@ class NgramIndex:
         heads, tails = self._heads, self._tails
         dots: dict[int, float] = {}
         for gram, weight in query.items():
-            for word_id, posting_weight in self._postings.get(gram, ()):
+            flat = iter(self._postings.get(gram, ()))
+            for word_id, posting_weight in zip(flat, flat):
                 dot = dots.get(word_id)
                 if dot is None:
                     dot = s if heads[word_id] is starts else 0.0
@@ -482,13 +493,14 @@ class Pipeline:
             ngram_candidates(token, self.ngram_index, self.config.topk),
         )
         pool: dict[str, list[float]] = {}
+        frequency = self.lexicon.relative_frequency_folded
         for route, hits in enumerate(routes):
             for form, score in hits:
                 components = pool.get(form)
                 if components is None:
-                    frequency = self.lexicon.relative_frequency_folded(form)
-                    components = pool[form] = [0.0, 0.0, 0.0, frequency]
-                components[route] = max(components[route], score)
+                    components = pool[form] = [0.0, 0.0, 0.0, frequency(form)]
+                if score > components[route]:
+                    components[route] = score
         return pool
 
     def normalize_token(self, token: str) -> str:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from luxnorm.align import (
     GAP,
     ScoringScheme,
+    _pair_rows,
+    _pair_table,
     align_triple,
     levenshtein,
     needleman_wunsch,
@@ -291,6 +293,40 @@ class TestMatchesReference:
         want = reference_align_triple(*triple, scheme)
         assert got == want
         assert repr(got.score) == repr(want.score)
+
+    # two equal sequences have equal matrices against the third, and
+    # align_triple computes their bound tables once
+    @given(noisy_triples(), st.sampled_from(["gold", "original", "both"]), accepted_schemes())
+    @settings(max_examples=100, deadline=None)
+    @example((["a", "b"], ["b", "a"], ["a", "b"]), "gold", SCHEME)
+    @example((["a", "b"], ["b"], ["b", "a"]), "original", ScoringScheme(gap_penalty=0.0))
+    def test_align_triple_with_equal_sequences(self, triple, equal_to, scheme):
+        original, predicted, gold = triple
+        if equal_to == "gold":
+            predicted = list(gold)
+        elif equal_to == "original":
+            predicted = list(original)
+        else:
+            original, predicted = list(gold), list(gold)
+        got = align_triple(original, predicted, gold, scheme)
+        want = reference_align_triple(original, predicted, gold, scheme)
+        assert got == want
+        assert repr(got.score) == repr(want.score)
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda m: st.lists(st.lists(st.floats(-3.0, 1.0), min_size=m, max_size=m), max_size=6)
+    ),
+    st.floats(-2.0, 0.0),
+)
+def test_bound_rows_are_the_table_rows(pair, gap_penalty):
+    # the bound tables drop the moves of _pair_table, not a single bit of a score
+    m = len(pair[0]) if pair else 0
+    rows, _ = _pair_table(pair, len(pair), m, gap_penalty)
+    assert [list(map(repr, row)) for row in _pair_rows(pair, m, gap_penalty)] == [
+        list(map(repr, row)) for row in rows
+    ]
 
 
 def test_related_long_triple_is_fast():

@@ -601,6 +601,20 @@ class TestCollectorPause:
         finally:
             (gc.enable if was else gc.disable)()
 
+    def test_built_index_goes_to_the_oldest_generation(self):
+        assert gc.get_freeze_count() == 0
+        trie = Lexicon({"haus": 1, "hunn": 2}).deletes_index()
+        assert any(obj is trie for obj in gc.get_objects(generation=2))
+
+    def test_frozen_objects_stay_frozen(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            Lexicon({"haus": 1, "hunn": 2}).deletes_index()
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
 
 IDENTITY_CMD = [sys.executable, "-c", "import sys; sys.stdout.write(sys.stdin.read())"]
 
