@@ -2,11 +2,13 @@
 
 Pairwise and 3-sequence Needleman-Wunsch over token lists. Match columns
 are scored with a Levenshtein-based similarity mapped into [-1, 1]; gap
-columns cost a fixed penalty. The 3-sequence variant runs a cubic dynamic
-program instead of composing pairwise alignments, which would not yield
-consistent triples, but computes only the cells an optimal path can use,
-so its time follows those cells, and its memory follows the (i, j) rows the
-bound keeps. Each distinct token pair is scored once per call.
+columns cost a fixed penalty. One program fills the pairwise score rows,
+which the pairwise alignment walks back and the 3-sequence variant's
+bound sums. That variant runs a cubic dynamic program instead of
+composing pairwise alignments, which would not yield consistent triples,
+but computes only the cells an optimal path can use, so its time follows
+those cells, and its memory follows the (i, j) rows the bound keeps.
+Each distinct token pair is scored once per call.
 """
 
 from __future__ import annotations
@@ -155,10 +157,10 @@ def _pair_scores(
     return matrices
 
 
-# Moves are bitmasks over the input sequences: bit d means "consume a token
-# of sequence d", and a sequence whose bit is clear gets a gap. Both
-# programs try moves in tie-breaking preference order: all-diagonal, then
-# two-sequence advances, then single advances.
+# Moves of the 3-sequence program are bitmasks over the input sequences:
+# bit d means "consume a token of sequence d", and a sequence whose bit is
+# clear gets a gap. The program tries moves in tie-breaking preference
+# order: all-diagonal, then two-sequence advances, then single advances.
 
 
 def _traceback(move: Sequence, seqs: Sequence[Sequence[str]]) -> tuple[tuple[object, ...], ...]:
@@ -185,43 +187,9 @@ def _traceback(move: Sequence, seqs: Sequence[Sequence[str]]) -> tuple[tuple[obj
     return tuple(columns)
 
 
-def _pair_table(
-    pair: Sequence[Sequence[float]], n: int, m: int, gp: float
-) -> tuple[list[list[float]], list[list[int]]]:
-    """Pairwise Needleman-Wunsch over an n x m match-score matrix.
-
-    Returns every row of the score table, so rows[i][j] is the best score
-    of the first i tokens against the first j, and the rows of moves that
-    `_traceback` walks. Ties prefer a match column, then a gap in the
-    first sequence, then a gap in the second.
-    """
-    above = [0.0] + [gp * j for j in range(1, m + 1)]
-    rows = [above]
-    moves = [[0] + [2] * m]
-    for i in range(1, n + 1):
-        row = [gp * i]
-        move = [1]
-        pair_i = pair[i - 1]
-        for j in range(1, m + 1):
-            best = above[j - 1] + pair_i[j - 1]
-            best_move = 3
-            cand = row[j - 1] + gp
-            if cand > best:
-                best, best_move = cand, 2
-            cand = above[j] + gp
-            if cand > best:
-                best, best_move = cand, 1
-            row.append(best)
-            move.append(best_move)
-        rows.append(row)
-        moves.append(move)
-        above = row
-    return rows, moves
-
-
 def _pair_rows(pair: Sequence[Sequence[float]], m: int, gp: float) -> list[list[float]]:
-    """The score rows of `_pair_table`, without its moves: the same
-    candidates in the same order, so the same floats."""
+    """Pairwise Needleman-Wunsch score rows over a match-score matrix of m
+    columns: rows[i][j] is the best score of the first i tokens against j."""
     above = [0.0] + [gp * j for j in range(1, m + 1)]
     rows = [above]
     for i, pair_i in enumerate(pair, 1):
@@ -263,13 +231,29 @@ def needleman_wunsch(
 ) -> Alignment:
     """Globally optimal pairwise alignment with deterministic traceback.
 
-    Scores every token pair, fills the whole table with `_pair_table` and
-    walks it back. Ties prefer a match column, then a gap in `a`, then a
-    gap in `b`.
+    Fills the score rows with `_pair_rows` and walks back from the last
+    cell, taking the first move whose sum equals the cell's score: the
+    float `_pair_rows` took its maximum over. Ties prefer a match column,
+    then a gap in `a`, then a gap in `b`.
     """
     (pair,) = _pair_scores((a, b), scheme)
-    rows, moves = _pair_table(pair, len(a), len(b), scheme.gap_penalty)
-    return Alignment(_traceback(moves, (a, b)), rows[-1][-1])
+    gp = scheme.gap_penalty
+    rows = _pair_rows(pair, len(b), gp)
+    i, j = len(a), len(b)
+    columns = []
+    while i or j:
+        here = rows[i][j]
+        if i and j and rows[i - 1][j - 1] + pair[i - 1][j - 1] == here:
+            i, j = i - 1, j - 1
+            columns.append((a[i], b[j]))
+        elif not i or (j and rows[i][j - 1] + gp == here):
+            j -= 1
+            columns.append((GAP, b[j]))
+        else:
+            i -= 1
+            columns.append((a[i], GAP))
+    columns.reverse()
+    return Alignment(tuple(columns), rows[-1][-1])
 
 
 def _bounded_cube(

@@ -13,7 +13,6 @@ normalized sentences, one output line per input line.
 from __future__ import annotations
 
 import logging
-import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -230,7 +229,7 @@ class SuiteReport:
 
 
 def _canonical(sentence: str) -> str:
-    return unicodedata.normalize("NFC", " ".join(sentence.split()))
+    return nfc(" ".join(sentence.split()))
 
 
 def _correct_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:

@@ -12,7 +12,7 @@ from luxnorm.errors import ConfigError
 from luxnorm.normalize import PipelineConfig
 
 # config keys that name input files and must exist once validated
-_PATH_KEYS = ("dictionary", "lexicon", "eval_original", "eval_gold", "suite", "predictions")
+INPUT_FILE_KEYS = ("dictionary", "lexicon", "eval_original", "eval_gold", "suite", "predictions")
 
 
 @dataclass
@@ -104,7 +104,7 @@ def build_config(overrides: dict, config_file: str | Path | None = None) -> RunC
     for key, value in overrides.items():
         if value is not None:
             values.update({key: value})
-    for key in _PATH_KEYS:
+    for key in INPUT_FILE_KEYS:
         if values.get(key) is not None:
             values[key] = Path(values[key])
     if "output_dir" in values:
@@ -115,7 +115,7 @@ def build_config(overrides: dict, config_file: str | Path | None = None) -> RunC
         except (TypeError, ValueError):
             raise ConfigError("weights must be four finite non-negative numbers") from None
     config = RunConfig(**values)
-    for key in _PATH_KEYS:
+    for key in INPUT_FILE_KEYS:
         value = getattr(config, key)
         if value is not None and not value.exists():
             raise ConfigError(f"{key}: no such file: {value}")

@@ -15,9 +15,9 @@ from pathlib import Path
 
 from luxnorm import __version__
 from luxnorm.checklist import SuiteReport, load_suite, render_report, run_normalizer, run_suite
-from luxnorm.config import RunConfig, effective_workers
+from luxnorm.config import INPUT_FILE_KEYS, RunConfig, effective_workers
 from luxnorm.dictionary import build_reverse_index, load_dictionary
-from luxnorm.errors import ConfigError, LuxnormError, ProtocolError
+from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError
 from luxnorm.metrics import MetricsReport, evaluate_sentences
 from luxnorm.normalize import Pipeline, load_lexicon, run_external_normalizer
 
@@ -113,8 +113,18 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     normalizer = stage("load-resources", lambda: build_normalizer(config))
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    original = stage("read-eval-corpus", lambda: read_lines(config.eval_original))
-    gold = stage("read-eval-corpus", lambda: read_lines(config.eval_gold))
+
+    def read_eval_corpus():
+        original, gold = read_lines(config.eval_original), read_lines(config.eval_gold)
+        # checked here, before a normalizer that may be slow runs
+        if len(original) != len(gold):
+            raise ParseError(
+                f"{len(gold)} gold lines for {len(original)} original lines",
+                path=str(config.eval_gold),
+            )
+        return original, gold
+
+    original, gold = stage("read-eval-corpus", read_eval_corpus)
     suite = stage("load-suite", lambda: load_suite(config.suite))
     sentences = [unit.sentence for unit in suite.units]
 
@@ -136,7 +146,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     suite_report = stage("checklist", lambda: run_suite(suite_normalizer, suite))
 
     checksums = {}
-    for key in ("dictionary", "lexicon", "eval_original", "eval_gold", "suite", "predictions"):
+    for key in INPUT_FILE_KEYS:
         path = getattr(config, key)
         if path is not None:
             checksums[key] = file_checksum(path)

@@ -585,7 +585,8 @@ def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[st
     """Run an external normalizer over a batch via the line protocol.
 
     Writes one sentence per line (UTF-8, LF) to the child's stdin and
-    expects exactly one output line per input line, in order.
+    expects exactly one UTF-8 output line per input line, in order; CR LF
+    and CR also end a line.
     """
     if not sentences:
         return []
@@ -593,20 +594,22 @@ def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[st
     try:
         completed = subprocess.run(
             argv,
-            input="\n".join(sentences) + "\n",
+            input=("\n".join(sentences) + "\n").encode("utf-8"),
             capture_output=True,
-            text=True,
-            encoding="utf-8",
         )
     except OSError as exc:
         raise ProtocolError(f"failed to launch normalizer {argv!r}: {exc}") from exc
     if completed.returncode != 0:
-        stderr = completed.stderr.strip()
+        stderr = completed.stderr.decode("utf-8", errors="replace").strip()
         raise ProtocolError(
             f"normalizer {argv!r} exited with status {completed.returncode}"
             + (f": {stderr}" if stderr else "")
         )
-    lines = completed.stdout.split("\n")
+    try:
+        stdout = completed.stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"normalizer {argv!r} wrote output that is not UTF-8: {exc}") from None
+    lines = stdout.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) != len(sentences):

@@ -392,19 +392,18 @@ class _ReferencePairScorer:
         return cached
 
 
-def reference_needleman_wunsch(
-    a: Sequence[str],
-    b: Sequence[str],
-    scheme: ScoringScheme = DEFAULT_SCHEME,
-) -> Alignment:
-    """Globally optimal pairwise alignment with deterministic traceback.
+def reference_pair_table(
+    pair: Sequence[Sequence[float]], m: int, gap_penalty: float
+) -> tuple[list[list[float]], list[list[int]]]:
+    """The 2-D pairwise program over an n x m match-score matrix.
 
-    Ties prefer a match column, then a gap in `a`, then a gap in `b`.
+    Returns the score table, where score[i][j] is the best score of the
+    first i tokens against the first j, and the table of moves: 3 =
+    consume both, 2 = consume the second (gap in the first), 1 = consume
+    the first. Ties prefer 3, then 2, then 1.
     """
-    scorer = _ReferencePairScorer(scheme)
-    gp = scheme.gap_penalty
-    n, m = len(a), len(b)
-    # moves: 3 = consume both, 2 = consume b (gap in a), 1 = consume a
+    gp = gap_penalty
+    n = len(pair)
     score = [[0.0] * (m + 1) for _ in range(n + 1)]
     move = [[0] * (m + 1) for _ in range(n + 1)]
     for j in range(1, m + 1):
@@ -416,9 +415,9 @@ def reference_needleman_wunsch(
     for i in range(1, n + 1):
         row = score[i]
         above = score[i - 1]
-        ai = a[i - 1]
+        pair_i = pair[i - 1]
         for j in range(1, m + 1):
-            best = above[j - 1] + scorer.score(ai, b[j - 1])
+            best = above[j - 1] + pair_i[j - 1]
             best_move = 3
             cand = row[j - 1] + gp
             if cand > best:
@@ -428,8 +427,23 @@ def reference_needleman_wunsch(
                 best, best_move = cand, 1
             row[j] = best
             move[i][j] = best_move
+    return score, move
+
+
+def reference_needleman_wunsch(
+    a: Sequence[str],
+    b: Sequence[str],
+    scheme: ScoringScheme = DEFAULT_SCHEME,
+) -> Alignment:
+    """Globally optimal pairwise alignment with deterministic traceback.
+
+    Ties prefer a match column, then a gap in `a`, then a gap in `b`.
+    """
+    scorer = _ReferencePairScorer(scheme)
+    pair = [[scorer.score(x, y) for y in b] for x in a]
+    score, move = reference_pair_table(pair, len(b), scheme.gap_penalty)
     columns: list[tuple[object, object]] = []
-    i, j = n, m
+    i, j = len(a), len(b)
     while i or j:
         step = move[i][j]
         if step == 3:
@@ -443,7 +457,7 @@ def reference_needleman_wunsch(
             columns.append((a[i - 1], GAP))
             i -= 1
     columns.reverse()
-    return Alignment(tuple(columns), score[n][m])
+    return Alignment(tuple(columns), score[-1][-1])
 
 
 # Moves in the 3-sequence program are bitmasks (1 = consume from the first

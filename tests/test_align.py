@@ -13,7 +13,6 @@ from luxnorm.align import (
     GAP,
     ScoringScheme,
     _pair_rows,
-    _pair_table,
     align_triple,
     levenshtein,
     needleman_wunsch,
@@ -28,6 +27,7 @@ from oracles import (
     reference_align_triple,
     reference_levenshtein,
     reference_needleman_wunsch,
+    reference_pair_table,
 )
 
 SCHEME = ScoringScheme()
@@ -258,6 +258,11 @@ class TestMatchesReference:
     @example([], ["a", "b"], SCHEME)
     @example(["a", "b", "a"], ["b", "a"], ScoringScheme(gap_penalty=0.0))
     @example(["ab", "b", "ë"], ["b", "ab"], ScoringScheme(mismatch_penalty=1.0))
+    # the walk back matches scores with ==: rows that reach +inf or -inf,
+    # and ties between every move
+    @example(["a"] * 5, ["a"] * 4, ScoringScheme(5e307, 0.0, -3e307))
+    @example(["a", "b"], ["b", "a", "b", "a", "ë", "a"], ScoringScheme(1.0, -1.0, -5e307))
+    @example(["ab", "a", "b", "ab"], ["a", "ab", "ab"], ScoringScheme(2.0, 2.0, 0.0))
     def test_needleman_wunsch(self, a, b, scheme):
         assert needleman_wunsch(a, b, scheme) == reference_needleman_wunsch(a, b, scheme)
 
@@ -321,9 +326,9 @@ class TestMatchesReference:
     st.floats(-2.0, 0.0),
 )
 def test_bound_rows_are_the_table_rows(pair, gap_penalty):
-    # the bound tables drop the moves of _pair_table, not a single bit of a score
+    # the pairwise rows are the reference table's, to the last bit
     m = len(pair[0]) if pair else 0
-    rows, _ = _pair_table(pair, len(pair), m, gap_penalty)
+    rows, _ = reference_pair_table(pair, m, gap_penalty)
     assert [list(map(repr, row)) for row in _pair_rows(pair, m, gap_penalty)] == [
         list(map(repr, row)) for row in rows
     ]

@@ -13,7 +13,7 @@ from luxnorm import experiment
 from luxnorm.checklist import Setup, load_suite
 from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, build_parser, main
 from luxnorm.config import ConfigError, RunConfig, build_config, effective_workers
-from luxnorm.errors import ProtocolError
+from luxnorm.errors import ParseError, ProtocolError
 from luxnorm.experiment import StageError, run_experiment
 
 
@@ -417,6 +417,33 @@ class TestRunCommand:
         argv = ["run", "--normalizer", "identity", "--eval-orig", str(workspace["orig"]),
                 "--eval-gold", str(workspace["gold"]), "--out-dir", str(tmp_path / "cli")]
         assert main(argv) == EXIT_PROTOCOL
+
+    def test_mismatched_eval_files_fail_before_normalizing(self, workspace, tmp_path, monkeypatch):
+        gold = workspace["gold"].read_text(encoding="utf-8").splitlines()
+        workspace["gold"].write_text(gold[0] + "\n", encoding="utf-8")
+        calls = []
+
+        def recording(sentences):
+            calls.append(len(sentences))
+            return list(sentences)
+
+        with pytest.raises(StageError) as excinfo:
+            self.run_with(workspace, tmp_path, monkeypatch, recording)
+        assert excinfo.value.stage == "read-eval-corpus"
+        assert isinstance(excinfo.value.cause, ParseError)
+        assert calls == []
+        assert not (tmp_path / "out" / "predictions.txt").exists()
+        argv = ["run", "--normalizer", "identity", "--eval-orig", str(workspace["orig"]),
+                "--eval-gold", str(workspace["gold"]), "--out-dir", str(tmp_path / "cli")]
+        assert main(argv) == EXIT_DATA
+
+    def test_output_that_is_not_utf8_is_protocol_error(self, workspace, tmp_path, capsys):
+        script = "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'\\xff\\n')"
+        normalizer = f"cmd:{sys.executable} -c {shlex.quote(script)}"
+        out_dir = tmp_path / "out"
+        assert self.run_once(workspace, out_dir, extra=("--normalizer", normalizer)) == EXIT_PROTOCOL
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not (out_dir / "predictions.txt").exists()
 
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         config_file = tmp_path / "config.json"

@@ -642,6 +642,21 @@ class TestExternalNormalizer:
         with pytest.raises(ProtocolError, match="status 3"):
             run_external_normalizer(fail, ["a"])
 
+    def test_output_that_is_not_utf8_is_protocol_error(self):
+        invalid = [sys.executable, "-c", "import sys; sys.stdout.buffer.write(b'\\xff\\n')"]
+        with pytest.raises(ProtocolError, match="not UTF-8"):
+            run_external_normalizer(invalid, ["a"])
+
+    def test_exit_status_survives_stderr_that_is_not_utf8(self):
+        script = "import sys; sys.stderr.buffer.write(b'model load failed \\xff'); sys.exit(1)"
+        with pytest.raises(ProtocolError, match="status 1: model load failed \ufffd"):
+            run_external_normalizer([sys.executable, "-c", script], ["a"])
+
+    @pytest.mark.parametrize("end", ["\\r\\n", "\\r"])
+    def test_carriage_returns_end_lines(self, end):
+        script = f"import sys; sys.stdout.write('eent{end}zwee{end}')"
+        assert run_external_normalizer([sys.executable, "-c", script], ["a", "b"]) == ["eent", "zwee"]
+
     def test_unlaunchable_command(self):
         with pytest.raises(ProtocolError, match="failed to launch"):
             run_external_normalizer(["/nonexistent/normalizer"], ["a"])
