@@ -11,18 +11,18 @@ its variants' running counts and one finished replacement per variant, so
 every further occurrence costs one draw and one binary search. The table
 lives as long as the dictionary and grows with the number of distinct
 tokens seen. Pool workers send back only the corrupted line and its
-counts; the parent already holds the input line, the pair's target.
+counts; the caller already holds the input line, the pair's target.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
@@ -37,7 +37,8 @@ from luxnorm.tokenizer import (
     tokenize,
 )
 
-# sentences per pool worker: 2 tie with 1 at 7,500-10,000, win at 20,000 (synth-corpus, 2 cores)
+# sentences per process, the caller included. Measured when 2 pool workers ran beside a
+# caller that ran no sentence: 2 tie with 1 at 7,500-10,000, win at 20,000 (synth-corpus, 2 cores)
 CORRUPT_PER_WORKER = 5_000
 
 
@@ -51,13 +52,14 @@ class SentencePair:
     token_count: int
 
     def to_json(self) -> str:
-        return _JSON.encode(
-            {"source": self.source, "target": self.target, "changed": self.changed_tokens}
+        """The JSON line `json.dumps(..., ensure_ascii=False)` writes for
+        the pair's source, target and changed count, spelled out with the
+        string encoder it uses."""
+        return (
+            '{"source": ' + encode_basestring(self.source)
+            + ', "target": ' + encode_basestring(self.target)
+            + ', "changed": ' + int.__repr__(self.changed_tokens) + "}"
         )
-
-
-# what json.dumps(..., ensure_ascii=False) builds afresh on every call
-_JSON = json.JSONEncoder(ensure_ascii=False)
 
 
 @dataclass
@@ -204,9 +206,10 @@ def iter_corrupted(
     """Yield one SentencePair per non-blank input line, in input order.
 
     Blank lines are skipped and counted in `stats`. Up to `workers`
-    processes share the sentences, at most one per CORRUPT_PER_WORKER of
-    them, and a batch too small for two runs in process. Output is a pure
-    function of (lines, dictionary, seed) regardless of `workers`.
+    processes, the caller included, share the sentences, at most one per
+    CORRUPT_PER_WORKER of them, and a batch too small for two runs in
+    process. Output is a pure function of (lines, dictionary, seed)
+    regardless of `workers`.
     """
     tasks: list[tuple[int, str]] = []
     for index, raw in enumerate(lines):

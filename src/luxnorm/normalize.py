@@ -42,7 +42,8 @@ LUX_ALPHABET = _LOWER + _LOWER.upper()
 _PAD_START = "\t"
 _PAD_END = "\n"
 
-# types per pool worker: 2 tie with 1 at 1,000 types, win from 1,500 (run-suite lexicon, 2 cores)
+# types per process, the caller included. Measured when 2 pool workers ran beside a caller
+# that ran no type: 2 tie with 1 at 1,000 types, win from 1,500 (run-suite lexicon, 2 cores)
 NORMALIZE_PER_WORKER = 750
 
 
@@ -550,10 +551,11 @@ class Pipeline:
         """Normalize a batch of sentences, optionally across processes.
 
         The batch's distinct unknown cores are normalized once each, on up
-        to `workers` processes, one per NORMALIZE_PER_WORKER types (each
-        receives the pipeline once), or in process when the batch is too
-        small for two; their results fill the token cache, from which the
-        lines are rebuilt. Output is the same for any worker count.
+        to `workers` processes, the caller included, one per
+        NORMALIZE_PER_WORKER types (each pool process receives the pipeline
+        once), or in process when the batch is too small for two; their
+        results fill the token cache, from which the lines are rebuilt.
+        Output is the same for any worker count.
         """
         cores = {
             split_clitic(token)[1]

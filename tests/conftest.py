@@ -77,8 +77,8 @@ def run_python(args: list[str], timeout: float = 60) -> subprocess.CompletedProc
 @pytest.fixture
 def pool_starts(monkeypatch) -> list[int]:
     """Lower every caller's minimum batch to one item per worker, so small
-    batches get a real pool, and record the worker count of each pool that
-    starts."""
+    batches get a real pool, and record the process count of each pool that
+    starts; the caller, which runs chunks too, is not counted."""
     starts: list[int] = []
 
     class RecordedPool(parallel.ProcessPoolExecutor):

@@ -314,7 +314,7 @@ def test_synth_and_run_deterministic_across_workers(tmp_path, pool_starts):
         assert code == 0
         synth_outputs.append(out.read_bytes() + stats.read_bytes())
     assert synth_outputs[0] == synth_outputs[1]
-    assert pool_starts == [8]
+    assert pool_starts == [7]
 
     run_reports = []
     run_artifacts = []
@@ -344,7 +344,7 @@ def test_synth_and_run_deterministic_across_workers(tmp_path, pool_starts):
         )
     assert run_reports[0] == run_reports[1]
     assert run_artifacts[0] == run_artifacts[1]
-    assert pool_starts == [8, 8]
+    assert pool_starts == [7, 7]
     passed("determinism: synth and run identical across 1- and 8-worker executions")
 
 

@@ -96,7 +96,7 @@ class TestSynth:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        assert pool_starts == [8]
+        assert pool_starts == [7]
 
 
 class TestNormalizeCommand:
@@ -318,7 +318,7 @@ class TestRunCommand:
             data["config"].pop("workers")
             reports.append(data)
         assert reports[0] == reports[1]
-        assert pool_starts == [8]
+        assert pool_starts == [7]
 
     def test_external_command_is_launched_once(self, workspace, tmp_path):
         # the eval corpus and the suite go to the command in one batch
