@@ -2,13 +2,15 @@
 
 Pairwise and 3-sequence Needleman-Wunsch over token lists. Match columns
 are scored with a Levenshtein-based similarity mapped into [-1, 1]; gap
-columns cost a fixed penalty. One program fills the pairwise score rows,
-which the pairwise alignment walks back and the 3-sequence variant's
-bound sums. That variant runs a cubic dynamic program instead of
-composing pairwise alignments, which would not yield consistent triples,
-but computes only the cells an optimal path can use, so its time follows
-those cells, and its memory follows the (i, j) rows the bound keeps.
-Each distinct token pair is scored once per call.
+columns cost a fixed penalty. Each distinct token pair is scored once per
+call, from bit vectors built once per distinct token. One program fills
+the pairwise score rows: the pairwise alignment walks them back, and the
+3-sequence variant reads them, filled over the reversed sequences, as
+bounds on each pair's suffixes. That variant runs a cubic dynamic program
+instead of composing pairwise alignments, which would not yield
+consistent triples, but computes only the cells whose exact prefix score
+plus those suffix bounds can reach the optimum. So its time follows those
+cells, and its memory follows the (i, j) rows that keep one.
 """
 
 from __future__ import annotations
@@ -72,37 +74,34 @@ class Alignment:
     score: float
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Plain edit distance (insert/delete/substitute, no transpositions).
+def _match_vectors(pattern: str) -> dict[str, int]:
+    """Myers' match vectors: bit i of the entry for c is set where pattern[i] == c."""
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in pattern:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    return peq
+
+
+def _distance(a: str, b: str, peq: dict[str, int]) -> int:
+    """Edit distance of a and a non-empty b no longer than a, given b's
+    match vectors.
 
     Myers' bit-vector algorithm (J. ACM 46(3), 1999), in Hyyrö's form for
     global distance: one Python int per sign holds the vertical deltas of
-    a DP column, one bit per character of the shorter string, and each
-    character of the longer string advances the column by a few integer
-    operations. The distance is tracked at the column's last row.
+    a DP column, one bit per character of b, and each character of a
+    advances the column by a few integer operations. The distance is
+    tracked at the column's last row.
     """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
     if len(b) == 1:
         # keep b's character if a has it, else substitute it; delete the rest
         return len(a) - (b in a)
-    # bit i of peq[c] is set where b[i] == c
-    peq: dict[str, int] = {}
-    bit = 1
-    for char in b:
-        peq[char] = peq.get(char, 0) | bit
-        bit <<= 1
     if peq.keys().isdisjoint(a):
         # no character in common: every column of an alignment costs one
         return len(a)
-    mask = bit - 1
-    last = bit >> 1
+    last = 1 << (len(b) - 1)
+    mask = (last << 1) - 1
     plus, minus, distance = mask, 0, len(b)
     for char in a:
         eq = peq.get(char, 0)
@@ -122,6 +121,17 @@ def levenshtein(a: str, b: str) -> int:
     return distance
 
 
+def levenshtein(a: str, b: str) -> int:
+    """Plain edit distance (insert/delete/substitute, no transpositions)."""
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    return _distance(a, b, _match_vectors(b))
+
+
 def token_similarity(a: str, b: str) -> float:
     """1 - levenshtein/max(len); 1.0 for identical tokens, 0.0 for disjoint."""
     if a == b:
@@ -135,25 +145,31 @@ def _pair_scores(
     """Match-column scores for every pair of sequences.
 
     One matrix per pair, in (0, 1), (0, 2), (1, 2) order, with one row per
-    token of the pair's first sequence. Tokens repeat a lot within
-    sentences, so the matrices share one symmetric memo and each distinct
-    token pair is scored once.
+    token of the pair's first sequence. Each distinct token's match
+    vectors are built once, each distinct token pair is scored once, and
+    the rows of a repeated token are one list.
     """
-    span = scheme.match_bonus - scheme.mismatch_penalty
-    memo: dict[tuple[str, str], float] = {}
+    mismatch = scheme.mismatch_penalty
+    span = scheme.match_bonus - mismatch
+    tokens = list(dict.fromkeys(token for seq in seqs for token in seq))
+    vectors = [_match_vectors(token) for token in tokens]
+    # scores[x][y] for every two distinct tokens x and y, either order
+    scores: dict[str, dict[str, float]] = {}
+    for n, x in enumerate(tokens):
+        # 1.0 - 0 / len(x) is 1.0, but x may be empty
+        row = scores[x] = {x: mismatch + span * 1.0}
+        x_vectors = vectors[n]
+        for y, y_vectors in zip(tokens[:n], vectors):
+            a, b, b_vectors = (x, y, y_vectors) if len(x) >= len(y) else (y, x, x_vectors)
+            distance = _distance(a, b, b_vectors) if b else len(a)
+            row[y] = scores[y][x] = mismatch + span * (1.0 - distance / len(a))
     matrices = []
     for first, second in combinations(seqs, 2):
-        matrix = []
+        rows: dict[str, list[float]] = {}
         for x in first:
-            row = []
-            for y in second:
-                value = memo.get((x, y))
-                if value is None:
-                    value = scheme.mismatch_penalty + span * token_similarity(x, y)
-                    memo[x, y] = memo[y, x] = value
-                row.append(value)
-            matrix.append(row)
-        matrices.append(matrix)
+            if x not in rows:
+                rows[x] = list(map(scores[x].__getitem__, second))
+        matrices.append([rows[x] for x in first])
     return matrices
 
 
@@ -210,18 +226,12 @@ def _pair_rows(pair: Sequence[Sequence[float]], m: int, gp: float) -> list[list[
     return rows
 
 
-def _pair_bounds(pair: Sequence[Sequence[float]], m: int, gp: float) -> list[list[float]]:
-    """Best pairwise score of any alignment through each cell (i, j).
-
-    The forward table scores the prefixes; the table of the matrix
-    reversed in both axes scores the suffixes, read back to front.
-    """
-    forward = _pair_rows(pair, m, gp)
+def _suffix_rows(pair: Sequence[Sequence[float]], m: int, gp: float) -> list[list[float]]:
+    """rows[i][j] is the best pairwise score of the tokens after the first i
+    against those after the first j: the `_pair_rows` of the matrix
+    reversed in both axes, read back to front."""
     backward = _pair_rows([row[::-1] for row in reversed(pair)], m, gp)
-    return [
-        [f + b for f, b in zip(row, reversed(suffix))]
-        for row, suffix in zip(forward, reversed(backward))
-    ]
+    return [row[::-1] for row in reversed(backward)]
 
 
 def needleman_wunsch(
@@ -258,89 +268,121 @@ def needleman_wunsch(
 
 def _bounded_cube(
     pairs: Sequence[list[list[float]]],
-    bounds: Sequence[list[list[float]]],
+    suffixes: Sequence[list[list[float]]],
     lengths: Sequence[int],
     gap_penalty: float,
     cutoff: float,
 ) -> tuple[float, list[dict[int, bytearray]]]:
-    """The 3-sequence program over the cells whose bound is not below
-    `cutoff`; returns the last cell's score and move[i][j], the moves over
-    k of each (i, j) row kept. A cell skipped, or in a row not kept, scores
-    -inf, so every computed score is a real path's, never above the full
-    cube's. Scores are kept for the rows of i - 1 and i only.
+    """The 3-sequence program over the cells that stay live: a cell is live
+    while its score plus the three pairs' suffix bounds is not below
+    `cutoff`. Returns the last cell's score and move[i][j], the moves over
+    k of each (i, j) row with a live cell.
+
+    A cell is computed only where a live cell precedes it: each (i, j) row
+    covers the k-range its live predecessor rows reach, and continues
+    along k while the k - 1 -> k move keeps cells live. A cell that is not
+    live scores -inf, so every computed score is a real path's, never
+    above the full cube's. Scores are kept for the rows of i - 1 and i
+    only.
     """
     op, og, pg = pairs
-    u_op, u_og, u_pg = bounds
-    top_pg = [max(row) for row in u_pg]
+    rest_op, rest_og, rest_pg = suffixes
     gp2 = 2.0 * gap_penalty
     gp3 = 3.0 * gap_penalty
     no, np_, ng = lengths
     neg_inf = float("-inf")
-    missing = [neg_inf] * (ng + 1)
+    # score lists hold cell k at index k and -inf at index -1, for k - 1 = -1
+    missing = [neg_inf] * (ng + 2)
+    # a trailing 0.0 is the pair score read for k - 1 = -1
+    og = [row + [0.0] for row in og]
+    pg = [row + [0.0] for row in pg]
+    no_pair = [0.0] * (ng + 1)
     move: list[dict[int, bytearray]] = []
-    above: dict[int, list[float]] = {}
-    ks = range(ng + 1)
+    # (i, j) -> (scores, first live k, last live k), for rows with a live cell
+    above: dict[int, tuple[list[float], int, int]] = {}
     for i in range(no + 1):
+        if i and not above:
+            break
         op_i = op[i - 1] if i else None
-        og_i = og[i - 1] if i else None
-        u_op_i = u_op[i]
-        u_og_i = u_og[i]
-        top_og_i = max(u_og_i)
-        here: dict[int, list[float]] = {}
+        og_i = og[i - 1] if i else no_pair
+        rest_op_i = rest_op[i]
+        rest_og_i = rest_og[i]
+        here: dict[int, tuple[list[float], int, int]] = {}
         move.append({})
-        for j in range(np_ + 1):
-            # the row's largest cell bound
-            if u_op_i[j] + top_og_i + top_pg[j] < cutoff:
-                continue
-            pg_j = pg[j - 1] if j else None
-            s_op = op_i[j - 1] if i and j else 0.0
-            head = u_op_i[j]
-            u_pg_j = u_pg[j]
+        # rows reached from row i - 1, then along j while row i stays live
+        j_hi = max(above) + 1 if i else 0
+        for j in range(min(above) if i else 0, np_ + 1):
             # rows (i-1, j-1), (i-1, j) and (i, j-1)
-            diag = above.get(j - 1, missing)
-            up = above.get(j, missing)
-            left = here.get(j - 1, missing)
-            score = here[j] = [neg_inf] * (ng + 1)
-            moves = move[i][j] = bytearray(ng + 1)
-            for k in [k for k in ks if not head + u_og_i[k] + u_pg_j[k] < cutoff]:
-                s_og = og_i[k - 1] if i and k else 0.0
-                s_pg = pg_j[k - 1] if j and k else 0.0
+            diag = above.get(j - 1)
+            up = above.get(j)
+            left = here.get(j - 1)
+            if j > j_hi and left is None:
+                break
+            reached = [row for row in (diag, up, left) if row]
+            score = [neg_inf] * (ng + 2)
+            if reached:
+                lo = min([row[1] for row in reached])
+                end = max([row[2] for row in reached]) + 1
+                first = last = -1
+            elif i or j:
+                continue
+            else:
+                # the origin; the rest of its row comes from the k - 1 -> k move
+                score[0] = 0.0
+                lo = end = 1
+                first = last = 0
+            moves = bytearray(ng + 1)
+            diag = diag[0] if diag else missing
+            up = up[0] if up else missing
+            left = left[0] if left else missing
+            pg_j = pg[j - 1] if j else no_pair
+            s_op = op_i[j - 1] if i and j else 0.0
+            head = rest_op_i[j]
+            rest_pg_j = rest_pg[j]
+            for k1, k in enumerate(range(lo, ng + 1), lo - 1):
+                s_og = og_i[k1]
+                s_pg = pg_j[k1]
                 best = neg_inf
                 best_move = 0
                 # Each column always contributes three pair scores; a pair
-                # touching a gap contributes gap_penalty.
-                if i and j and k:
-                    cand = diag[k - 1] + s_op + s_og + s_pg
-                    if cand > best:
-                        best, best_move = cand, 7
-                if i and j:
-                    cand = diag[k] + s_op + gp2
-                    if cand > best:
-                        best, best_move = cand, 3
-                if i and k:
-                    cand = up[k - 1] + s_og + gp2
-                    if cand > best:
-                        best, best_move = cand, 5
-                if j and k:
-                    cand = left[k - 1] + s_pg + gp2
-                    if cand > best:
-                        best, best_move = cand, 6
-                if i:
-                    cand = up[k] + gp3
-                    if cand > best:
-                        best, best_move = cand, 1
-                if j:
-                    cand = left[k] + gp3
-                    if cand > best:
-                        best, best_move = cand, 2
-                if k:
-                    cand = score[k - 1] + gp3
-                    if cand > best:
-                        best, best_move = cand, 4
-                score[k] = best if i or j or k else 0.0  # the origin
+                # touching a gap contributes gap_penalty. A predecessor
+                # outside the cube or not live scores -inf.
+                cand = diag[k1] + s_op + s_og + s_pg
+                if cand > best:
+                    best, best_move = cand, 7
+                cand = diag[k] + s_op + gp2
+                if cand > best:
+                    best, best_move = cand, 3
+                cand = up[k1] + s_og + gp2
+                if cand > best:
+                    best, best_move = cand, 5
+                cand = left[k1] + s_pg + gp2
+                if cand > best:
+                    best, best_move = cand, 6
+                cand = up[k] + gp3
+                if cand > best:
+                    best, best_move = cand, 1
+                cand = left[k] + gp3
+                if cand > best:
+                    best, best_move = cand, 2
+                cand = score[k1] + gp3
+                if cand > best:
+                    best, best_move = cand, 4
+                if best + head + rest_og_i[k] + rest_pg_j[k] < cutoff:
+                    if k >= end:
+                        break
+                    continue
+                score[k] = best
                 moves[k] = best_move
+                if first < 0:
+                    first = k
+                last = k
+            if first >= 0:
+                here[j] = score, first, last
+                move[i][j] = moves
         above = here
-    return above.get(np_, missing)[ng], move
+    row = above.get(np_)
+    return (row[0] if row else missing)[ng], move
 
 
 def align_triple(
@@ -357,36 +399,40 @@ def align_triple(
 
     Columns and score are the full cube's, but only cells an optimal path
     can use are computed (Carrillo and Lipman, 1988). A path's share of
-    one pair is at most the pair's best alignment through the same
-    (i, j), as a column with both of the pair's tokens gapped scores
-    gap_penalty <= 0, so the three `_pair_bounds` sum to a bound on every
-    path through a cell. A pass computes the cells whose bound reaches a
-    threshold, less a rounding slack. If its score reaches the threshold,
-    every optimal-path cell and every tied predecessor was computed, by
-    the full cube's sums. Otherwise the score is a real alignment's and
-    the next pass takes it as the threshold, which is then exact; a score
-    of -inf makes that pass the full cube.
+    one pair after a cell is at most the pair's best alignment of the
+    suffixes after the same (i, j), as a column with both of the pair's
+    tokens gapped scores gap_penalty <= 0. So a cell's exact prefix score
+    plus the three `_suffix_rows` bounds every path through it. A pass
+    keeps the cells whose sum reaches a threshold, less a rounding slack.
+    If its score reaches the threshold, every optimal-path cell and every
+    tied predecessor was kept and scored by the full cube's sums. The
+    first threshold is the sum of the three pair optima less a margin of
+    match_bonus - mismatch_penalty - 3 * gap_penalty, and each pass that
+    misses doubles the margin. The full cube, a cutoff of -inf, runs only
+    once doubling no longer lowers the threshold or it is not finite.
     """
     seqs = (original, predicted, gold)
     pairs = op, og, pg = _pair_scores(seqs, scheme)
     lengths = no, np_, ng = [len(seq) for seq in seqs]
     gp = scheme.gap_penalty
     # equal sequences have equal matrices against the third, so equal
-    # bounds: the corrected sentence often equals the gold one, and an
-    # untouched one the original
-    u_op = _pair_bounds(op, np_, gp)
-    u_og = u_op if gold == predicted else _pair_bounds(og, ng, gp)
-    u_pg = u_og if predicted == original else _pair_bounds(pg, ng, gp)
-    bounds = u_op, u_og, u_pg
-    upper = u_op[0][0] + u_og[0][0] + u_pg[0][0]
+    # suffix tables: the corrected sentence often equals the gold one, and
+    # an untouched one the original
+    rest_op = _suffix_rows(op, np_, gp)
+    rest_og = rest_op if gold == predicted else _suffix_rows(og, ng, gp)
+    rest_pg = rest_og if predicted == original else _suffix_rows(pg, ng, gp)
+    suffixes = rest_op, rest_og, rest_pg
+    upper = rest_op[0][0] + rest_og[0][0] + rest_pg[0][0]
     scale = abs(scheme.match_bonus) + abs(scheme.mismatch_penalty) + abs(gp)
     slack = 1e-6 * (1.0 + abs(upper) + scale * (no + np_ + ng))
-    threshold = upper - (scheme.match_bonus - scheme.mismatch_penalty - 3.0 * gp)
-    if not math.isfinite(threshold - slack):
-        threshold, slack = float("-inf"), 0.0
+    margin = scheme.match_bonus - scheme.mismatch_penalty - 3.0 * gp
+    threshold = upper - margin
     while True:
-        value, move = _bounded_cube(pairs, bounds, lengths, gp, threshold - slack)
+        if not math.isfinite(threshold - slack):
+            threshold, slack = float("-inf"), 0.0
+        value, move = _bounded_cube(pairs, suffixes, lengths, gp, threshold - slack)
         # also ends the full pass, whose NaN score an infinite scheme can make
         if not value < threshold:
             return Alignment(_traceback(move, seqs), value)
-        threshold = value
+        margin *= 2.0
+        threshold = upper - margin if upper - margin < threshold else float("-inf")

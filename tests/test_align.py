@@ -13,6 +13,7 @@ from luxnorm.align import (
     GAP,
     ScoringScheme,
     _pair_rows,
+    _pair_scores,
     align_triple,
     levenshtein,
     needleman_wunsch,
@@ -100,6 +101,31 @@ class TestTokenSimilarity:
         sim = token_similarity(a, b)
         assert 0.0 <= sim <= 1.0
         assert sim == token_similarity(b, a)
+
+    # every distinct token pair is scored once, from match vectors built
+    # once per token, and must give the float token_similarity gives
+    @given(
+        st.lists(st.text(alphabet="abcë", max_size=9), max_size=6),
+        st.lists(st.text(alphabet="abcë", max_size=9), max_size=6),
+        st.lists(st.text(alphabet="abcë", max_size=9), max_size=6),
+        accepted_schemes(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(["a", "b"], ["ab", "b", "ë"], ["a"], SCHEME)  # one-character tokens
+    @example(["abc"], ["ë", "ëë"], ["cab", "bbb"], SCHEME)  # disjoint tokens
+    @example(["ab", "ab", "b"], ["b", "ab", "b"], ["ab", "ab"], SCHEME)  # repeated tokens
+    @example(["abc", "ca"], ["abc", "ca"], ["cab"], SCHEME)  # two equal sequences
+    # mismatch_penalty == match_bonus, and an empty token
+    @example(["ab", "b"], ["ba", "bb"], ["a", ""], ScoringScheme(2.0, 2.0, -0.5))
+    def test_pair_scores_are_token_similarity(self, o, p, g, scheme):
+        span = scheme.match_bonus - scheme.mismatch_penalty
+        want = [
+            [[repr(scheme.mismatch_penalty + span * token_similarity(x, y)) for y in second]
+             for x in first]
+            for first, second in ((o, p), (o, g), (p, g))
+        ]
+        got = _pair_scores((o, p, g), scheme)
+        assert [[list(map(repr, row)) for row in matrix] for matrix in got] == want
 
 
 class TestNeedlemanWunsch:
@@ -366,15 +392,19 @@ passes = []
 cube = align._bounded_cube
 align._bounded_cube = lambda *args: passes.append(args) or cube(*args)
 align.align_triple(*json.loads(sys.argv[1]))
+full = sum(args[-1] == float("-inf") for args in passes)
 with open("/proc/self/status") as status:
-    print(len(passes), int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1]) // 1024)
+    print(len(passes), full, int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1]) // 1024)
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("related, length, passes, peak_mb", [
     (True, 300, 1, 150),  # tables over the full cube would take about 410 MB
-    (False, 100, 2, 40),  # the first pass misses the optimum; the full cube would take 71 MB
+    # the margin doubles after each pass that misses the optimum; the full
+    # cube would take 71 MB at 100 tokens
+    (False, 60, 4, 40),
+    (False, 100, 5, 40),
 ])
 def test_alignment_memory_follows_rows_kept(related, length, passes, peak_mb):
     rng = random.Random(11)
@@ -390,8 +420,9 @@ def test_alignment_memory_follows_rows_kept(related, length, passes, peak_mb):
     triple = json.dumps([side(), side(), gold])
     result = run_python(["-c", _ALIGN_PASSES_AND_PEAK, triple])
     assert result.returncode == 0, result.stderr
-    got_passes, got_peak_mb = map(int, result.stdout.split())
+    got_passes, full_passes, got_peak_mb = map(int, result.stdout.split())
     assert got_passes == passes
+    assert full_passes == 0
     assert got_peak_mb < peak_mb
 
 
