@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: dict validate, synth, normalize, align, eval, checklist, run.
-All text I/O is UTF-8 with LF line endings. Exit codes are stable per
-failure class: 0 success, 2 usage/configuration, 3 data/input, 4 external
-normalizer protocol, 1 unexpected.
+Inputs are read as `luxnorm.errors.read_lines` reads them; outputs are
+UTF-8 with LF line endings. Exit codes are stable per failure class:
+0 success, 2 usage/configuration, 3 data/input, 4 external normalizer
+protocol, 1 unexpected.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from luxnorm.checklist import default_suite_path, load_suite, render_report, run
 from luxnorm.config import RunConfig, build_config, effective_workers
 from luxnorm.corrupt import CorpusStats, iter_corrupted
 from luxnorm.dictionary import load_dictionary
-from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError
+from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError, read_parallel
 from luxnorm.experiment import StageError, build_normalizer, read_lines, run_experiment
 from luxnorm.metrics import evaluate_sentences
 from luxnorm.tokenizer import is_token, tokenize
@@ -194,13 +195,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     scheme = _config(args).scheme()
-    original = read_lines(args.orig)
-    predicted = read_lines(args.pred)
-    gold = read_lines(args.gold)
-    if not (len(original) == len(predicted) == len(gold)):
-        raise ParseError(
-            f"line counts differ: {len(original)}/{len(predicted)}/{len(gold)}"
-        )
+    original, predicted, gold = read_parallel(args.orig, args.pred, args.gold)
     rows = ["original\tpredicted\tgold"]
     for orig, pred, ref in zip(original, predicted, gold):
         triple = align_triple(tokenize(orig), tokenize(pred), tokenize(ref), scheme)
@@ -233,9 +228,7 @@ def _eval_report_dict(args: argparse.Namespace, scheme, report, rows) -> dict:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     scheme = _config(args).scheme()
-    original = read_lines(args.orig)
-    predicted = read_lines(args.pred)
-    gold = read_lines(args.gold)
+    original, predicted, gold = read_parallel(args.orig, args.pred, args.gold)
     report, rows = evaluate_sentences(
         original,
         predicted,

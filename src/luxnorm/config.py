@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from luxnorm.align import ScoringScheme
-from luxnorm.errors import ConfigError
+from luxnorm.errors import ConfigError, decode_text
 from luxnorm.normalize import PipelineConfig
 
 # config keys that name input files and must exist once validated
@@ -59,7 +59,7 @@ def load_config_file(path: str | Path) -> dict:
     """Read a JSON config file, rejecting unknown keys."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(decode_text(path.read_bytes()))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -131,8 +131,12 @@ class ReverseIndex:
         fold: dict[str, list[tuple[str, int]]] = {}
         for variant, lemmas in index.items():
             fold.setdefault(variant.casefold(), []).extend(lemmas)
-        for folded in fold.values():
-            folded.sort(key=lambda pair: (-pair[1], pair[0]))
+        for key, lemmas in fold.items():
+            if len(lemmas) > 1:  # a lemma's counts summed over the casings of the variant
+                merged: dict[str, int] = {}
+                for lemma, count in lemmas:
+                    merged[lemma] = merged.get(lemma, 0) + count
+                fold[key] = sorted(merged.items(), key=lambda pair: (-pair[1], pair[0]))
         self._fold = fold
 
     def lookup(self, variant: str) -> list[tuple[str, int]]:
@@ -140,7 +144,7 @@ class ReverseIndex:
         return list(self._index.get(variant, []))
 
     def lookup_folded(self, variant: str) -> list[tuple[str, int]]:
-        """Case-insensitive lookup, merging all casings of the variant."""
+        """Case-insensitive lookup, a lemma's counts summed over all casings."""
         return list(self._fold.get(variant.casefold(), []))
 
 

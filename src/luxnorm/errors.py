@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the toolkit, and the TSV reader that
-raises its parse errors with path and line."""
+"""Exception hierarchy shared across the toolkit, and the one text reader
+every input goes through, with its side-by-side and TSV forms."""
 
 from __future__ import annotations
 
@@ -35,22 +35,49 @@ class ConfigError(LuxnormError):
     """Invalid or incomplete run configuration."""
 
 
+def decode_text(data: bytes) -> str:
+    """`data` decoded as UTF-8, without a leading byte-order mark."""
+    return data.decode("utf-8-sig")
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of `text`: LF, CR LF or CR end a line; a final break ends the last."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a text file, decoded by `decode_text`, cut by `split_lines`."""
+    with open(path, "rb") as handle:
+        return split_lines(decode_text(handle.read()))
+
+
+def read_parallel(*paths: str | Path) -> list[list[str]]:
+    """The lines of each file, one sentence per line, as many in every file."""
+    texts = [read_lines(path) for path in paths]
+    counts = [len(lines) for lines in texts]
+    if len(set(counts)) > 1:
+        files = ", ".join(map(str, paths))
+        raise ParseError(f"line counts differ: {'/'.join(map(str, counts))} ({files})")
+    return texts
+
+
 def read_tsv(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each line of a UTF-8 TSV file that is
     neither blank nor a `#` comment; every such line must have `width` fields."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != width:
-                raise ParseError(
-                    f"expected {width} tab-separated fields, got {len(fields)}",
-                    path=str(path),
-                    line=lineno,
-                )
-            yield lineno, fields
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ParseError(
+                f"expected {width} tab-separated fields, got {len(fields)}",
+                path=str(path),
+                line=lineno,
+            )
+        yield lineno, fields
 
 
 def parse_int(text: str, name: str, path: str | Path, line: int) -> int:

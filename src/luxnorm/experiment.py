@@ -3,6 +3,9 @@
 Reports embed the exact configuration and sha256 checksums of every input
 file, so a run can be audited and reproduced; re-running with the same
 config yields an identical report except for the timestamp.
+
+External normalizers plug in through a line protocol: one sentence per
+line on stdin, exactly one normalized sentence per line on stdout.
 """
 
 from __future__ import annotations
@@ -10,16 +13,20 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import shlex
+import subprocess
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from luxnorm import __version__
 from luxnorm.checklist import SuiteReport, load_suite, render_report, run_normalizer, run_suite
 from luxnorm.config import INPUT_FILE_KEYS, RunConfig, effective_workers
 from luxnorm.dictionary import build_reverse_index, load_dictionary
-from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError
+from luxnorm.errors import ConfigError, LuxnormError, ProtocolError
+from luxnorm.errors import decode_text, read_lines, read_parallel, split_lines
 from luxnorm.metrics import MetricsReport, evaluate_sentences
-from luxnorm.normalize import Pipeline, load_lexicon, run_external_normalizer
+from luxnorm.normalize import Pipeline, load_lexicon
 
 
 class StageError(LuxnormError):
@@ -51,24 +58,47 @@ class ExperimentReport:
         }
 
 
-def file_checksum(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def read_lines(path: Path) -> list[str]:
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def read_predictions(path: Path, expected: int) -> list[str]:
     """Load precomputed predictions, one sentence per line."""
     lines = read_lines(path)
     if len(lines) != expected:
         raise ProtocolError(
             f"predictions file {path} has {len(lines)} lines, expected {expected}"
+        )
+    return lines
+
+
+def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[str]) -> list[str]:
+    """Run an external normalizer over a batch via the line protocol.
+
+    Writes one sentence per line (UTF-8, LF) to the child's stdin and
+    expects exactly one UTF-8 output line per input line, in order, read
+    by the rules of `decode_text` and `split_lines`.
+    """
+    if not sentences:
+        return []
+    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    try:
+        completed = subprocess.run(
+            argv,
+            input=("\n".join(sentences) + "\n").encode("utf-8"),
+            capture_output=True,
+        )
+    except OSError as exc:
+        raise ProtocolError(f"failed to launch normalizer {argv!r}: {exc}") from exc
+    if completed.returncode != 0:
+        stderr = completed.stderr.decode("utf-8", errors="replace").strip()
+        raise ProtocolError(
+            f"normalizer {argv!r} exited with status {completed.returncode}"
+            + (f": {stderr}" if stderr else "")
+        )
+    try:
+        lines = split_lines(decode_text(completed.stdout))
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"normalizer {argv!r} wrote output that is not UTF-8: {exc}") from None
+    if len(lines) != len(sentences):
+        raise ProtocolError(
+            f"normalizer wrote {len(lines)} lines for {len(sentences)} inputs"
         )
     return lines
 
@@ -114,17 +144,10 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def read_eval_corpus():
-        original, gold = read_lines(config.eval_original), read_lines(config.eval_gold)
-        # checked here, before a normalizer that may be slow runs
-        if len(original) != len(gold):
-            raise ParseError(
-                f"{len(gold)} gold lines for {len(original)} original lines",
-                path=str(config.eval_gold),
-            )
-        return original, gold
-
-    original, gold = stage("read-eval-corpus", read_eval_corpus)
+    # line counts are checked here, before a normalizer that may be slow runs
+    original, gold = stage(
+        "read-eval-corpus", lambda: read_parallel(config.eval_original, config.eval_gold)
+    )
     suite = stage("load-suite", lambda: load_suite(config.suite))
     sentences = [unit.sentence for unit in suite.units]
 
@@ -149,7 +172,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     for key in INPUT_FILE_KEYS:
         path = getattr(config, key)
         if path is not None:
-            checksums[key] = file_checksum(path)
+            checksums[key] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     report = ExperimentReport(
         config=config.to_dict(),

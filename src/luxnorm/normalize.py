@@ -5,9 +5,6 @@ the variant dictionary, lexicon words within two single-character edits,
 and character-n-gram tf-idf cosine similarity. Each candidate form carries
 one score component per route plus its frequency, and the components are
 combined linearly; known-correct tokens are never touched.
-
-External normalizers plug in through a line protocol: one sentence per
-line on stdin, exactly one normalized sentence per line on stdout.
 """
 
 from __future__ import annotations
@@ -16,14 +13,12 @@ import bisect
 import contextlib
 import gc
 import math
-import shlex
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from luxnorm.dictionary import ReverseIndex
-from luxnorm.errors import ParseError, ProtocolError, parse_int, read_tsv
+from luxnorm.errors import ParseError, parse_int, read_tsv
 from luxnorm.parallel import ordered_map
 from luxnorm.tokenizer import (
     apply_case_pattern,
@@ -125,10 +120,6 @@ class Lexicon:
     def count(self, word: str) -> int:
         return self._counts.get(word, 0)
 
-    def count_folded(self, word: str) -> int:
-        """Total count across all casings of `word`."""
-        return self._fold_counts.get(word.casefold(), 0)
-
     def relative_frequency_folded(self, word: str) -> float:
         """Case-insensitive relative frequency in [0, 1].
 
@@ -208,8 +199,7 @@ class NgramIndex:
             for gram, count in tf.items():
                 weight = count * idf[gram]
                 sq += weight * weight
-                # a key of tf is the object its first occurrence put there
-                if gram is not head and gram is not tail:
+                if gram != head and gram != tail:
                     postings.setdefault(gram, []).extend((word_id, weight))
             self._norms.append(math.sqrt(sq))
         self._edges: dict[str, list[int]] = {
@@ -531,7 +521,7 @@ class Pipeline:
         def sort_key(form: str):
             variant, edit, ngram, frequency = pool[form]
             combined = wv * variant + we * edit + wn * ngram + wf * frequency
-            return (-combined, -self.lexicon.count_folded(form), -edit, form)
+            return (-combined, -frequency, -edit, form)
 
         return min(pool, key=sort_key)
 
@@ -573,49 +563,9 @@ class Pipeline:
             # the trie and its tails, while a pickled pipeline drops both
             # and each spawned worker rebuilds them
             self.lexicon.deletes_index()
-            results = ordered_map(_normalize_type, self, types, workers, NORMALIZE_PER_WORKER)
+            results = ordered_map(
+                Pipeline._normalize_token, self, types, workers, NORMALIZE_PER_WORKER
+            )
             # strict: exhausting the results also shuts the pool down here
             self._token_cache.update(zip(types, results, strict=True))
         return [self.normalize_sentence(line) for line in lines]
-
-
-def _normalize_type(pipeline: Pipeline, token: str) -> str:
-    return pipeline._normalize_token(token)
-
-
-def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[str]) -> list[str]:
-    """Run an external normalizer over a batch via the line protocol.
-
-    Writes one sentence per line (UTF-8, LF) to the child's stdin and
-    expects exactly one UTF-8 output line per input line, in order; CR LF
-    and CR also end a line.
-    """
-    if not sentences:
-        return []
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
-    try:
-        completed = subprocess.run(
-            argv,
-            input=("\n".join(sentences) + "\n").encode("utf-8"),
-            capture_output=True,
-        )
-    except OSError as exc:
-        raise ProtocolError(f"failed to launch normalizer {argv!r}: {exc}") from exc
-    if completed.returncode != 0:
-        stderr = completed.stderr.decode("utf-8", errors="replace").strip()
-        raise ProtocolError(
-            f"normalizer {argv!r} exited with status {completed.returncode}"
-            + (f": {stderr}" if stderr else "")
-        )
-    try:
-        stdout = completed.stdout.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"normalizer {argv!r} wrote output that is not UTF-8: {exc}") from None
-    lines = stdout.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) != len(sentences):
-        raise ProtocolError(
-            f"normalizer wrote {len(lines)} lines for {len(sentences)} inputs"
-        )
-    return lines

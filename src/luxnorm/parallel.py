@@ -18,8 +18,8 @@ has been yielded.
 The pool initializer hands each pool process `fn`, `state` and the items
 once, so large state (a variant dictionary, a whole pipeline) is never
 pickled per chunk, and a chunk is sent as its bounds. `fn` must be a
-module-level function, so that it can be sent to a pool process under any
-start method.
+module-level function or a method of a module-level class, which pickle by
+name, so that it can be sent to a pool process under any start method.
 """
 
 from __future__ import annotations

@@ -251,6 +251,30 @@ class ReferenceNgramIndex:
         return [(word, -cosine) for cosine, _, word in heapq.nsmallest(k, scored)]
 
 
+def reference_choose(
+    token: str, pool: dict[str, list[float]], weights: Sequence[float], lexicon: Lexicon
+) -> str:
+    """The pipeline's pick for `token` from its candidate pool: the token
+    itself if the lexicon holds it in any casing or the pool is empty, else
+    the form of highest combined score, ties broken by the lexicon's count
+    summed over the form's casings, then the larger edit component, then
+    the smaller form."""
+
+    def folded_count(word: str) -> int:
+        return sum(lexicon.count(form) for form in lexicon if form.casefold() == word.casefold())
+
+    if folded_count(token) or not pool:
+        return token
+    wv, we, wn, wf = weights
+
+    def rank(form: str) -> tuple:
+        variant, edit, ngram, frequency = pool[form]
+        combined = wv * variant + we * edit + wn * ngram + wf * frequency
+        return (-combined, -folded_count(form), -edit, form)
+
+    return min(pool, key=rank)
+
+
 @lru_cache(maxsize=4096)
 def _similarity(x: str, y: str) -> float:
     return 1.0 if x == y else 1.0 - levenshtein_recursive(x, y) / max(len(x), len(y))

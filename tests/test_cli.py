@@ -9,7 +9,7 @@ from dataclasses import fields
 import pytest
 
 from conftest import make_dictionary, run_python
-from luxnorm import experiment
+from luxnorm import cli, experiment
 from luxnorm.checklist import Setup, load_suite
 from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, build_parser, main
 from luxnorm.config import ConfigError, RunConfig, build_config, effective_workers
@@ -229,6 +229,16 @@ class TestEvalCommand:
         text = report.read_text()
         assert "err\t0" in text
         assert "sentence\ttp\tfp\tfn\ttn" in text
+
+    def test_line_count_mismatch_is_data_error(self, workspace, tmp_path, capsys, monkeypatch):
+        # found when the files are read, before any sentence is scored
+        monkeypatch.setattr(cli, "evaluate_sentences", lambda *_, **__: pytest.fail("scored"))
+        short = tmp_path / "short.txt"
+        short.write_text("x\n", encoding="utf-8")
+        argv = ["eval", "--orig", str(workspace["orig"]), "--pred", str(short),
+                "--gold", str(workspace["gold"])]
+        assert main(argv) == EXIT_DATA
+        assert "line counts differ: 12/1/12" in capsys.readouterr().err
 
 
 def counting_identity(launches) -> str:

@@ -99,6 +99,13 @@ class TestReverseIndex:
         )
         assert index.lookup_folded("MELLECH") == [("Mëllech", 120), ("mëllechzocker", 2)]
 
+    def test_folded_lookup_sums_a_lemmas_casings(self):
+        index = build_reverse_index(
+            make_dictionary({"gutt": {"gudd": 3, "Gudd": 2}, "haus": {"gudd": 4}})
+        )
+        assert index.lookup_folded("GUDD") == [("gutt", 5), ("haus", 4)]
+        assert index.lookup("gudd") == [("haus", 4), ("gutt", 3)]
+
     def test_unknown_variant_is_empty(self, tiny_dictionary):
         assert build_reverse_index(tiny_dictionary).lookup("gibberish") == []
 

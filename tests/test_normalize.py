@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import make_dictionary
 from luxnorm.dictionary import build_reverse_index
 from luxnorm.errors import ParseError, ProtocolError
-from luxnorm.experiment import read_predictions
+from luxnorm.experiment import read_predictions, run_external_normalizer
 from luxnorm.normalize import (
     LUX_ALPHABET,
     Lexicon,
@@ -25,9 +25,13 @@ from luxnorm.normalize import (
     edit_candidates,
     load_lexicon,
     ngram_candidates,
-    run_external_normalizer,
 )
-from oracles import ReferenceNgramIndex, damerau_levenshtein, neighborhood_distances
+from oracles import (
+    ReferenceNgramIndex,
+    damerau_levenshtein,
+    neighborhood_distances,
+    reference_choose,
+)
 
 
 def reference_tfidf_cosine(lexicon_words: list[str], a: str, b: str, n: int = 3) -> float:
@@ -479,6 +483,39 @@ class TestNormalizeToken:
         # zero out everything except the ngram route: the ngram top hit wins
         pipeline = build_pipeline(weights=(0.0, 0.0, 1.0, 0.0))
         assert pipeline.normalize_token("Bischt") == "Biischt"
+
+    def test_folded_variant_counts_every_casing_of_a_lemma(self):
+        # gutt holds 5 of the 9 attestations of gudd in any casing, haus 4
+        dictionary = make_dictionary({"gutt": {"gudd": 3, "Gudd": 2}, "haus": {"gudd": 4}})
+        pipeline = Pipeline(build_reverse_index(dictionary), Lexicon({"gutt": 5, "haus": 5}))
+        assert pipeline.candidates("GUDD")["GUTT"][0] == 5 / 9
+        assert pipeline.normalize_token("GUDD") == "GUTT"
+
+    @given(
+        st.dictionaries(st.text("abäA", min_size=1, max_size=4), st.integers(1, 4),
+                        min_size=1, max_size=8),
+        st.dictionaries(
+            st.text("abäA", min_size=1, max_size=4),
+            st.dictionaries(st.text("abäAB", min_size=1, max_size=4), st.integers(1, 4),
+                            min_size=1, max_size=3),
+            max_size=4,
+        ),
+        st.text("abäAB", min_size=1, max_size=5),
+        st.tuples(*[st.sampled_from([0.0, 0.5, 1.0])] * 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    # every combined score is 0: ab and AB (3 in any casing) beat ba (2)
+    @example({"ab": 2, "AB": 1, "ba": 2}, {}, "bb", (0.0, 0.0, 0.0, 0.0))
+    # ab and ba tie on the variant route alone; ba is the more frequent
+    @example({"ab": 1, "ba": 5}, {"ab": {"bb": 1}, "ba": {"bb": 1}}, "bb", (1.0, 0.0, 0.0, 0.0))
+    # the case-restored BA ties with Ba on every component but the edit one
+    @example({"Ba": 2, "ab": 1}, {"ba": {"bb": 1}}, "BB", (0.0, 0.0, 0.0, 1.0))
+    def test_choice_matches_reference(self, counts, table, token, weights):
+        lexicon = Lexicon(counts)
+        config = PipelineConfig(weights)
+        pipeline = Pipeline(build_reverse_index(make_dictionary(table)), lexicon, config)
+        expected = reference_choose(token, pipeline.candidates(token), weights, lexicon)
+        assert pipeline._normalize_token(token) == expected
 
 
 class TestNormalizeSentence:
