@@ -6,8 +6,8 @@ must fix, PRESERVE feeds an already-standard sentence that must come back
 unchanged. The shipped suite has 10 sentences per category and setup
 (420 units).
 
-A normalizer is any callable mapping a list of sentences to a list of
-normalized sentences, one output line per input line.
+This module scores outputs and calls no normalizer: `run_suite` takes one
+output per unit, in suite order (see `luxnorm.experiment.run_normalizer`).
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from luxnorm.align import GAP, needleman_wunsch
-from luxnorm.errors import ParseError, ProtocolError, parse_int, read_tsv
+from luxnorm.errors import ParseError, parse_int, read_tsv
 from luxnorm.metrics import nfc
 from luxnorm.tokenizer import is_token, splice, tokenize
 
@@ -29,8 +29,6 @@ logger = logging.getLogger(__name__)
 EXPECTED_CATEGORIES = 21
 EXPECTED_UNITS_PER_CELL = 10
 EXPECTED_TOTAL_UNITS = EXPECTED_CATEGORIES * 2 * EXPECTED_UNITS_PER_CELL
-
-Normalizer = Callable[[Sequence[str]], list[str]]
 
 
 class Setup(Enum):
@@ -68,7 +66,11 @@ class TestSuite:
     __test__ = False  # domain type, not a pytest class
 
     units: list[TestUnit]
-    categories: list[str]
+
+    @property
+    def categories(self) -> list[str]:
+        """The units' categories, in first-seen order."""
+        return list(dict.fromkeys(unit.category for unit in self.units))
 
     @property
     def is_complete(self) -> bool:
@@ -100,7 +102,6 @@ def load_suite(path: str | Path | None = None) -> TestSuite:
     """
     path = Path(path) if path is not None else default_suite_path()
     units: list[TestUnit] = []
-    categories: list[str] = []
     for lineno, fields in read_tsv(path, 7):
         category, setup_text, sentence, index_text, expected, gloss, provenance = fields
         if not category or not sentence:
@@ -144,15 +145,13 @@ def load_suite(path: str | Path | None = None) -> TestSuite:
                 )
             unit = TestUnit(lineno, category, setup, sentence, gloss=gloss, provenance=provenance)
         units.append(unit)
-        if category not in categories:
-            categories.append(category)
     if not units:
         raise ParseError("suite file contains no units", path=str(path))
-    suite = TestSuite(units, categories)
+    suite = TestSuite(units)
     if not suite.is_complete:
         logger.warning(
             "partial suite: %d categories, %d units (expected %d/%d)",
-            len(categories),
+            len(suite.categories),
             len(units),
             EXPECTED_CATEGORIES,
             EXPECTED_TOTAL_UNITS,
@@ -162,18 +161,15 @@ def load_suite(path: str | Path | None = None) -> TestSuite:
 
 @dataclass
 class UnitFailure:
-    unit_id: int
-    category: str
-    setup: Setup
-    sentence: str
+    unit: TestUnit
     produced: str
 
     def to_dict(self) -> dict:
         return {
-            "unit_id": self.unit_id,
-            "category": self.category,
-            "setup": self.setup.value,
-            "sentence": self.sentence,
+            "unit_id": self.unit.unit_id,
+            "category": self.unit.category,
+            "setup": self.unit.setup.value,
+            "sentence": self.unit.sentence,
             "produced": self.produced,
         }
 
@@ -228,20 +224,18 @@ class SuiteReport:
         }
 
 
-def _canonical(sentence: str) -> str:
-    return nfc(" ".join(sentence.split()))
+def _judge(unit: TestUnit, produced: str) -> tuple[bool, int]:
+    """Judge one unit's output; returns (success, collateral edit count).
 
-
-def _correct_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
-    """Judge one CORRECT unit; returns (success, collateral edit count).
-
-    The produced sentence is word-aligned with the input; the unit passes
+    A PRESERVE unit passes iff the output equals the input, up to
+    whitespace and NFC; no collateral count applies. For a CORRECT unit
+    the produced sentence is word-aligned with the input; the unit passes
     iff the output token aligned to the target position equals the
     expected form. Edits elsewhere are counted but do not fail the unit.
     """
-    input_tokens = tokenize(unit.sentence)
-    output_tokens = tokenize(produced)
-    alignment = needleman_wunsch(input_tokens, output_tokens)
+    if unit.setup is Setup.PRESERVE:
+        return nfc(" ".join(produced.split())) == nfc(" ".join(unit.sentence.split())), 0
+    alignment = needleman_wunsch(tokenize(unit.sentence), tokenize(produced))
     success = False
     collateral = 0
     position = -1
@@ -257,68 +251,18 @@ def _correct_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
     return success, collateral
 
 
-def run_normalizer(
-    normalizer: Normalizer, sentences: list[str], fatal: int = 0
-) -> list[str | None]:
-    """Normalize a batch in one call; split a failed batch and retry.
-
-    A batch that raises or returns the wrong number of lines runs again
-    in two parts: after its first `fatal` sentences if it holds more,
-    else in halves. A part inside the first `fatal` sentences re-raises
-    the error (ProtocolError for a line-count mismatch); any other
-    sentence that fails alone comes back as None. One bad sentence costs
-    about 2 log2(n) calls; a normalizer that always fails, 2n - 1.
-    """
-    try:
-        outputs = list(normalizer(sentences))
-        if len(outputs) != len(sentences):
-            raise ProtocolError(
-                f"normalizer returned {len(outputs)} lines for {len(sentences)} inputs"
-            )
-        return outputs
-    except Exception as exc:  # noqa: BLE001 - one bad sentence must not sink the batch
-        if 0 < len(sentences) <= fatal:
-            raise
-        if len(sentences) < 2:
-            logger.warning("normalization failed for %r: %s", sentences, exc)
-            return [None] * len(sentences)
-    cut = fatal if fatal else len(sentences) // 2
-    head = run_normalizer(normalizer, sentences[:cut], fatal)
-    return head + run_normalizer(normalizer, sentences[cut:])
-
-
-def _preserve_unit_passes(unit: TestUnit, produced: str) -> tuple[bool, int]:
-    """Judge one PRESERVE unit: the output must equal the input, up to
-    whitespace and NFC; no collateral count applies."""
-    return _canonical(produced) == _canonical(unit.sentence), 0
-
-
-def _tally(
-    units: Sequence[TestUnit],
-    outputs: Sequence[str | None],
-    judge: Callable[[TestUnit, str], tuple[bool, int]],
-) -> dict[str, CellResult]:
+def _tally(units: Sequence[TestUnit], outputs: Sequence[str | None]) -> dict[str, CellResult]:
     """Score each unit's output per category; a None output fails as `<error>`."""
     results: dict[str, CellResult] = {}
     for unit, produced in zip(units, outputs):
         cell = results.setdefault(unit.category, CellResult())
         cell.total += 1
-        success = False
-        if produced is not None:
-            success, collateral = judge(unit, produced)
-            cell.collateral_changes += collateral
+        success, collateral = (False, 0) if produced is None else _judge(unit, produced)
+        cell.collateral_changes += collateral
         if success:
             cell.successes += 1
         else:
-            cell.failures.append(
-                UnitFailure(
-                    unit.unit_id,
-                    unit.category,
-                    unit.setup,
-                    unit.sentence,
-                    "<error>" if produced is None else produced,
-                )
-            )
+            cell.failures.append(UnitFailure(unit, "<error>" if produced is None else produced))
     return results
 
 
@@ -327,7 +271,7 @@ def run_correct_setup(
 ) -> dict[str, CellResult]:
     """Score CORRECT units per category: was the planted error fixed?"""
     assert all(u.setup is Setup.CORRECT for u in units)
-    return _tally(units, outputs, _correct_unit_passes)
+    return _tally(units, outputs)
 
 
 def run_preserve_setup(
@@ -335,13 +279,15 @@ def run_preserve_setup(
 ) -> dict[str, CellResult]:
     """Score PRESERVE units per category: did correct input survive?"""
     assert all(u.setup is Setup.PRESERVE for u in units)
-    return _tally(units, outputs, _preserve_unit_passes)
+    return _tally(units, outputs)
 
 
-def run_suite(normalizer: Normalizer, suite: TestSuite) -> SuiteReport:
-    """Normalize every unit in one batch, then score both setups."""
-    outputs = run_normalizer(normalizer, [u.sentence for u in suite.units])
-    report = SuiteReport(categories=list(suite.categories), cells={})
+def run_suite(suite: TestSuite, outputs: Sequence[str | None]) -> SuiteReport:
+    """Score both setups from the outputs, one per unit in suite order;
+    a None output fails its unit as `<error>`."""
+    if len(outputs) != len(suite.units):
+        raise ValueError(f"{len(outputs)} outputs for {len(suite.units)} suite units")
+    report = SuiteReport(categories=suite.categories, cells={})
     for setup, score in ((Setup.CORRECT, run_correct_setup), (Setup.PRESERVE, run_preserve_setup)):
         chosen = [i for i, unit in enumerate(suite.units) if unit.setup is setup]
         cells = score([suite.units[i] for i in chosen], [outputs[i] for i in chosen])

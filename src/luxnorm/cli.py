@@ -23,6 +23,7 @@ from luxnorm.corrupt import CorpusStats, iter_corrupted
 from luxnorm.dictionary import load_dictionary
 from luxnorm.errors import ConfigError, LuxnormError, ParseError, ProtocolError, read_parallel
 from luxnorm.experiment import StageError, build_normalizer, read_lines, run_experiment
+from luxnorm.experiment import run_normalizer
 from luxnorm.metrics import evaluate_sentences
 from luxnorm.tokenizer import is_token, tokenize
 
@@ -261,7 +262,7 @@ def _cmd_checklist(args: argparse.Namespace) -> int:
     config = _config(args)
     suite = load_suite(config.suite)
     normalizer = build_normalizer(config)
-    report = run_suite(normalizer, suite)
+    report = run_suite(suite, run_normalizer(normalizer, [u.sentence for u in suite.units]))
     rendered = render_report(report, args.format)
     if args.report is not None:
         args.report.write_text(rendered + "\n", encoding="utf-8")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from luxnorm.align import ScoringScheme
-from luxnorm.errors import ConfigError, decode_text
+from luxnorm.errors import ConfigError, decode_text, undecodable_line
 from luxnorm.normalize import PipelineConfig
 
 # config keys that name input files and must exist once validated
@@ -62,6 +62,9 @@ def load_config_file(path: str | Path) -> dict:
         raw = json.loads(decode_text(path.read_bytes()))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        message = f"line {undecodable_line(exc)}: {exc.reason}"
+        raise ConfigError(f"config file {path} is not valid UTF-8: {message}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -48,10 +48,20 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
+def undecodable_line(exc: UnicodeDecodeError) -> int:
+    """The line, as `split_lines` counts, of the first bytes `decode_text` rejected."""
+    head = exc.object[: exc.start]
+    return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+
+
 def read_lines(path: str | Path) -> list[str]:
     """The lines of a text file, decoded by `decode_text`, cut by `split_lines`."""
     with open(path, "rb") as handle:
-        return split_lines(decode_text(handle.read()))
+        try:
+            return split_lines(decode_text(handle.read()))
+        except UnicodeDecodeError as exc:
+            line = undecodable_line(exc)
+            raise ParseError(f"not valid UTF-8: {exc.reason}", path=str(path), line=line) from None
 
 
 def read_parallel(*paths: str | Path) -> list[list[str]]:

@@ -1,5 +1,8 @@
 """Full experiment orchestration: normalize, evaluate, run the test suite.
 
+It also sends batches to a normalizer: it builds one from the config,
+runs the external line protocol, and holds the failure policy for a batch.
+
 Reports embed the exact configuration and sha256 checksums of every input
 file, so a run can be audited and reproduced; re-running with the same
 config yields an identical report except for the timestamp.
@@ -13,20 +16,25 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import logging
 import shlex
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from luxnorm import __version__
-from luxnorm.checklist import SuiteReport, load_suite, render_report, run_normalizer, run_suite
+from luxnorm.checklist import SuiteReport, load_suite, render_report, run_suite
 from luxnorm.config import INPUT_FILE_KEYS, RunConfig, effective_workers
 from luxnorm.dictionary import build_reverse_index, load_dictionary
 from luxnorm.errors import ConfigError, LuxnormError, ProtocolError
 from luxnorm.errors import decode_text, read_lines, read_parallel, split_lines
 from luxnorm.metrics import MetricsReport, evaluate_sentences
 from luxnorm.normalize import Pipeline, load_lexicon
+
+logger = logging.getLogger(__name__)
+
+Normalizer = Callable[[Sequence[str]], list[str]]
 
 
 class StageError(LuxnormError):
@@ -103,7 +111,37 @@ def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[st
     return lines
 
 
-def build_normalizer(config: RunConfig):
+def run_normalizer(
+    normalizer: Normalizer, sentences: list[str], fatal: int = 0
+) -> list[str | None]:
+    """Normalize a batch in one call; split a failed batch and retry.
+
+    A batch that raises or returns the wrong number of lines runs again
+    in two parts: after its first `fatal` sentences if it holds more,
+    else in halves. A part inside the first `fatal` sentences re-raises
+    the error (ProtocolError for a line-count mismatch); any other
+    sentence that fails alone comes back as None. One bad sentence costs
+    about 2 log2(n) calls; a normalizer that always fails, 2n - 1.
+    """
+    try:
+        outputs = list(normalizer(sentences))
+        if len(outputs) != len(sentences):
+            raise ProtocolError(
+                f"normalizer returned {len(outputs)} lines for {len(sentences)} inputs"
+            )
+        return outputs
+    except Exception as exc:  # noqa: BLE001 - one bad sentence must not sink the batch
+        if 0 < len(sentences) <= fatal:
+            raise
+        if len(sentences) < 2:
+            logger.warning("normalization failed for %r: %s", sentences, exc)
+            return [None] * len(sentences)
+    cut = fatal if fatal else len(sentences) // 2
+    head = run_normalizer(normalizer, sentences[:cut], fatal)
+    return head + run_normalizer(normalizer, sentences[cut:])
+
+
+def build_normalizer(config: RunConfig) -> Normalizer:
     """Resolve the configured normalizer into a batch callable."""
     workers = effective_workers(config.workers)
     if config.normalizer == "identity":
@@ -125,10 +163,10 @@ def build_normalizer(config: RunConfig):
 def run_experiment(config: RunConfig) -> ExperimentReport:
     """Execute normalize -> align/metrics -> checklist and write reports.
 
-    The eval corpus and the suite are normalized as one batch: one `cmd:`
-    launch, one pool. A failed batch is split by `run_normalizer`: an eval
-    sentence that fails is stage `normalize`, a suite unit fails alone as
-    `<error>`.
+    The eval corpus and the suite (the suite alone under `--pred`) are
+    normalized as one batch in stage `normalize`: one `cmd:` launch, one
+    pool. A failed batch is split by `run_normalizer`: an eval sentence
+    that fails is stage `normalize`, a suite unit fails alone as `<error>`.
     Any stage failure raises StageError with the stage name; artifacts
     written by completed stages stay in the output directory.
     """
@@ -153,12 +191,12 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
 
     def normalize():
         if config.predictions is not None:
-            return read_predictions(config.predictions, len(original)), normalizer
+            predicted = read_predictions(config.predictions, len(original))
+            return predicted, run_normalizer(normalizer, sentences)
         outputs = run_normalizer(normalizer, original + sentences, fatal=len(original))
-        # run_suite's one call gets the suite's outputs, by position
-        return outputs[: len(original)], lambda _: outputs[len(original):]
+        return outputs[: len(original)], outputs[len(original):]
 
-    predicted, suite_normalizer = stage("normalize", normalize)
+    predicted, suite_outputs = stage("normalize", normalize)
     (out_dir / "predictions.txt").write_text(
         "".join(line + "\n" for line in predicted), encoding="utf-8"
     )
@@ -166,7 +204,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     metrics, _ = stage(
         "evaluate", lambda: evaluate_sentences(original, predicted, gold, scheme)
     )
-    suite_report = stage("checklist", lambda: run_suite(suite_normalizer, suite))
+    suite_report = stage("checklist", lambda: run_suite(suite, suite_outputs))
 
     checksums = {}
     for key in INPUT_FILE_KEYS:

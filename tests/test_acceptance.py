@@ -250,14 +250,14 @@ def test_checklist_smoke_identity_and_oracle():
     assert suite.is_complete
 
     identity = lambda sentences: list(sentences)
-    report = run_suite(identity, suite)
+    report = run_suite(suite, identity([unit.sentence for unit in suite.units]))
     for category in suite.categories:
         assert report.cell(category, Setup.CORRECT).success_rate == 0.0, category
         assert report.cell(category, Setup.PRESERVE).success_rate == 100.0, category
 
     gold = {unit.sentence: unit.gold_sentence() for unit in suite.units}
     oracle = lambda sentences: [gold.get(s, s) for s in sentences]
-    report = run_suite(oracle, suite)
+    report = run_suite(suite, oracle([unit.sentence for unit in suite.units]))
     for category in suite.categories:
         assert report.cell(category, Setup.CORRECT).success_rate == 100.0, category
         assert report.cell(category, Setup.PRESERVE).success_rate == 100.0, category

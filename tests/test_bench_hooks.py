@@ -89,13 +89,12 @@ def test_traced_eval_and_checklist_record_align_spans(monkeypatch):
     suite = TestSuite(
         [TestUnit(1, "spelling", Setup.CORRECT, "e gudd Joer", 1, "gutt"),
          TestUnit(2, "spelling", Setup.PRESERVE, "alles gutt.")],
-        ["spelling"],
     )
     with tracer.installed(layers.TARGETS):
         report, _ = metrics.evaluate_sentences(
             ["e gudd Joer", "alles gutt."], ["e gutt Joer", "alles gutt."],
             ["e gutt Joer", "alles gutt."])
-        suite_report = checklist.run_suite(list, suite)
+        suite_report = checklist.run_suite(suite, [unit.sentence for unit in suite.units])
     names = [span.name for span in tracer.spans()]
     assert (report.tp, report.fp, report.fn) == (1, 0, 0)
     assert suite_report.cell("spelling", Setup.CORRECT).success_rate == 0

@@ -15,11 +15,11 @@ from luxnorm.checklist import (
     load_suite,
     render_report,
     run_correct_setup,
-    run_normalizer,
     run_preserve_setup,
     run_suite,
 )
 from luxnorm.errors import ParseError
+from luxnorm.experiment import run_normalizer
 
 
 def identity(sentences):
@@ -112,6 +112,15 @@ class TestLoadSuite:
         assert not partial.is_complete
         assert "partial suite" in caplog.text
 
+    def test_categories_come_from_the_units_in_first_seen_order(self, suite):
+        # so a scored unit's category always has its row in the report
+        units = suite.select(Setup.PRESERVE, "Short Vowels") + suite.select(Setup.CORRECT)
+        categories = TestSuite(units).categories
+        assert categories[0] == "Short Vowels"
+        assert sorted(categories) == sorted(suite.categories)
+        unit = suite.select(Setup.CORRECT, "Quantity Rule")[0]
+        assert TestSuite([unit]).categories == [unit.category]
+
     def test_gold_sentence_fixes_target(self, suite):
         unit = suite.select(Setup.CORRECT, "Quantity Rule")[0]
         assert "d'Biischt" in unit.gold_sentence()
@@ -138,7 +147,7 @@ class TestRunSetups:
 
     def test_gold_oracle_scores_full_everywhere(self, suite):
         oracle = make_gold_oracle(suite)
-        report = run_suite(oracle, suite)
+        report = run_suite(suite, outputs(oracle, suite.units))
         for category in suite.categories:
             assert report.cell(category, Setup.CORRECT).success_rate == 100.0
             assert report.cell(category, Setup.PRESERVE).success_rate == 100.0
@@ -185,7 +194,8 @@ class TestRunSetups:
                 raise RuntimeError("boom")
             return [s for s in sentences]
 
-        report = run_suite(flaky, TestSuite([unit, other], [unit.category]))
+        produced = run_normalizer(flaky, [unit.sentence, other.sentence])
+        report = run_suite(TestSuite([unit, other]), produced)
         cell = report.cell(unit.category, Setup.CORRECT)
         assert cell.total == 2
         failures = {f.produced for f in cell.failures}
@@ -202,9 +212,23 @@ class TestRunSetups:
         units = suite.select(Setup.CORRECT, "Diphthongs")
         results = run_correct_setup(units, outputs(identity, units))
         for failure in results["Diphthongs"].failures:
-            assert failure.unit_id > 0
-            assert failure.sentence
-            assert failure.produced == failure.sentence  # identity output
+            assert failure.unit.unit_id > 0
+            assert failure.unit.sentence
+            assert failure.produced == failure.unit.sentence  # identity output
+
+
+class TestRunSuite:
+    def test_scores_a_plain_output_list(self, suite):
+        report = run_suite(suite, [unit.sentence for unit in suite.units])
+        for category in suite.categories:
+            assert report.cell(category, Setup.CORRECT).success_rate == 0.0, category
+            assert report.cell(category, Setup.PRESERVE).success_rate == 100.0, category
+
+    def test_output_count_must_match_the_units(self, suite):
+        sentences = [unit.sentence for unit in suite.units]
+        for wrong in (sentences[:-1], sentences + ["extra"]):
+            with pytest.raises(ValueError, match="outputs for 420 suite units"):
+                run_suite(suite, wrong)
 
 
 class TestRunNormalizer:
@@ -218,12 +242,12 @@ class TestRunNormalizer:
                 raise RuntimeError("boom")
             return list(sentences)
 
-        report = run_suite(flaky, suite)
+        report = run_suite(suite, run_normalizer(flaky, [u.sentence for u in suite.units]))
         assert len(calls) <= 19  # retrying each unit alone took 421
-        errors = [f.unit_id for cell in report.cells.values()
+        errors = [f.unit.unit_id for cell in report.cells.values()
                   for f in cell.failures if f.produced == "<error>"]
         assert errors == [bad.unit_id]
-        expected = run_suite(identity, suite)
+        expected = run_suite(suite, outputs(identity, suite.units))
         key = (bad.category, bad.setup)
         assert {k: c for k, c in report.cells.items() if k != key} == {
             k: c for k, c in expected.cells.items() if k != key}
@@ -274,7 +298,7 @@ class TestRenderReport:
         assert tsv.splitlines()[1] == "Quantity Rule\t70\t100"
 
     def test_full_run_renders_all_categories(self, suite):
-        report = run_suite(identity, suite)
+        report = run_suite(suite, outputs(identity, suite.units))
         lines = render_report(report, "tsv").splitlines()
         assert len(lines) == 22  # header + 21 categories
         table = render_report(report, "table").splitlines()
@@ -284,7 +308,7 @@ class TestRenderReport:
         # one CORRECT unit: its PRESERVE cell has no units, which is not
         # the same as a normalizer that fails every unit
         unit = suite.select(Setup.CORRECT, "Quantity Rule")[0]
-        report = run_suite(identity, TestSuite([unit], [unit.category]))
+        report = run_suite(TestSuite([unit]), outputs(identity, [unit]))
         assert list(report.cells) == [(unit.category, Setup.CORRECT)]
         rows = report.to_dict()["categories"][unit.category]
         assert rows["correct"]["rate"] == 0.0

@@ -15,6 +15,7 @@ from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, build_pa
 from luxnorm.config import ConfigError, RunConfig, build_config, effective_workers
 from luxnorm.errors import ParseError, ProtocolError
 from luxnorm.experiment import StageError, run_experiment
+from luxnorm.tokenizer import split_clitic, tokenize
 
 
 class TestDictValidate:
@@ -343,6 +344,43 @@ class TestRunCommand:
         assert launches.read_text(encoding="utf-8") == "launch\n"
         assert reports[0] == reports[1]
 
+    def test_checklist_rates_a_normalizer_as_the_run_does(self, workspace, tmp_path):
+        # a lexicon of the suite's gold words gives rates other than 0 and 100
+        tokens = {token for unit in load_suite().units for token in tokenize(unit.gold_sentence())}
+        words = {split_clitic(token)[1] for token in tokens}
+        lexicon = "".join(f"{word}\t1\n" for word in sorted(words))
+        workspace["lexicon"].write_text(lexicon, encoding="utf-8")
+        table = tmp_path / "checklist.txt"
+        resources = ["--dict", str(workspace["dict"]), "--lexicon", str(workspace["lexicon"])]
+        assert main(["checklist", *resources, "--report", str(table)]) == EXIT_OK
+        out_dir = tmp_path / "out"
+        assert self.run_once(workspace, out_dir) == EXIT_OK
+        rates = table.read_text(encoding="utf-8")
+        assert rates == (out_dir / "suite_report.txt").read_text(encoding="utf-8")
+        assert len({line.split()[-2] for line in rates.splitlines()[1:]}) > 2
+
+    @pytest.mark.parametrize("pred", [False, True], ids=["normalized", "pred"])
+    def test_one_call_to_the_failure_policy(self, workspace, tmp_path, monkeypatch, pred):
+        # with or without `--pred`, the suite is normalized once, in stage
+        # `normalize`, and the checklist only scores
+        batches, policy = [], experiment.run_normalizer
+
+        def counted(normalizer, sentences, fatal=0):
+            batches.append((len(sentences), fatal))
+            return policy(normalizer, sentences, fatal)
+
+        monkeypatch.setattr(experiment, "run_normalizer", counted)
+        report = run_experiment(RunConfig(
+            normalizer="identity",
+            eval_original=workspace["orig"],
+            eval_gold=workspace["gold"],
+            predictions=workspace["gold"] if pred else None,
+            output_dir=tmp_path / "out",
+        ))
+        units = len(load_suite().units)
+        assert batches == ([(units, 0)] if pred else [(12 + units, 12)])
+        assert sum(cell.total for cell in report.suite.cells.values()) == units
+
     def test_failed_batch_is_split(self, workspace, tmp_path, monkeypatch):
         # a normalizer that fails on the one batch and on one suite sentence:
         # the eval corpus goes alone, and only that unit fails, as `<error>`
@@ -373,7 +411,7 @@ class TestRunCommand:
             k: c for k, c in identity.suite.cells.items() if k != key}
         cell, expected = report.suite.cells[key], identity.suite.cells[key]
         assert (cell.total, cell.successes) == (expected.total, expected.successes - 1)
-        assert [(f.unit_id, f.produced) for f in cell.failures] == [(bad.unit_id, "<error>")]
+        assert [(f.unit.unit_id, f.produced) for f in cell.failures] == [(bad.unit_id, "<error>")]
 
     def run_with(self, workspace, tmp_path, monkeypatch, normalizer):
         monkeypatch.setattr(experiment, "build_normalizer", lambda config: normalizer)
@@ -396,7 +434,7 @@ class TestRunCommand:
 
         report = self.run_with(workspace, tmp_path, monkeypatch, flaky)
         assert len(calls) <= 21  # two fixed calls, then each suite unit alone, took 423
-        errors = [f.unit_id for cell in report.suite.cells.values()
+        errors = [f.unit.unit_id for cell in report.suite.cells.values()
                   for f in cell.failures if f.produced == "<error>"]
         assert errors == [bad.unit_id]
 

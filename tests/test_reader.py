@@ -1,6 +1,7 @@
 """Every input is read by one rule: UTF-8 with a leading byte-order mark
 dropped, and LF, CR LF or CR ending a line. A file written with a BOM or
-with either carriage-return line end reads as its plain LF copy does."""
+with either carriage-return line end reads as its plain LF copy does, and
+bytes that are not UTF-8 are reported with the file and the line."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ import pytest
 
 from luxnorm import experiment
 from luxnorm.checklist import load_suite
-from luxnorm.cli import EXIT_OK, main
+from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from luxnorm.config import build_config
 from luxnorm.dictionary import load_dictionary
-from luxnorm.errors import read_lines, split_lines
+from luxnorm.errors import ParseError, read_lines, split_lines
 from luxnorm.experiment import run_external_normalizer
 from luxnorm.normalize import load_lexicon
 
@@ -61,6 +62,36 @@ def test_file_reads_as_its_plain_copy(tmp_path, reader, encoding):
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     rewrite(other, *ENCODINGS[encoding])
     assert summary(load(other)) == summary(load(plain))
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, reader):
+    # the lines before the bad byte end in LF, CR and CR LF, after a BOM
+    load, lines, _ = READERS[reader]
+    ends = ["\n", "\r", "\r\n"] * len(lines)
+    text = BOM + "".join(line + end for line, end in zip(lines[:-1], ends)) + lines[-1]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), len(lines))
+    assert str(excinfo.value) == f"{path}:{len(lines)}: not valid UTF-8: invalid start byte"
+
+
+def test_eval_file_that_is_not_utf8_is_a_data_error(workspace, capsys):
+    orig = workspace["orig"]
+    lines = orig.read_bytes().split(b"\n")
+    orig.write_bytes(b"\n".join([lines[0], b"\xff" + lines[1], *lines[2:]]))
+    triple = ("--orig", orig, "--pred", workspace["gold"], "--gold", workspace["gold"])
+    assert main(["eval", *map(str, triple)]) == EXIT_DATA
+    assert f"{orig}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": 7,\r\n "normalizer": "\xff"}\n')
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert f"config file {path} is not valid UTF-8: line 2" in capsys.readouterr().err
 
 
 def test_lexicon_word_after_a_bom_is_known(tmp_path):
