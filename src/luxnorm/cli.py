@@ -158,7 +158,7 @@ def _cmd_dict_validate(args: argparse.Namespace) -> int:
     print(f"total_count\t{sum(dictionary.total_count(lemma) for lemma in dictionary.lemmas())}")
     print(f"max_variants\t{max(map(len, rows))}")
     # synth leaves the token as written when it draws one of these
-    print(f"unwritable_variants\t{sum(not is_token(e.variant) for row in rows for e in row)}")
+    print(f"unwritable_variants\t{sum(not is_token(variant) for row in rows for variant in row)}")
     return EXIT_OK
 
 

@@ -130,10 +130,11 @@ def _type_entry(token: str, dictionary: VariantDictionary) -> _TypeEntry:
         return None
     variants = dictionary.variants(key)
     replacements = []
-    for entry in variants:
-        variant = entry.variant if key == core else apply_case_pattern(core, entry.variant)
+    for variant in variants:
+        if key != core:
+            variant = apply_case_pattern(core, variant)
         replacements.append(prefix + variant if is_token(prefix + variant) else token)
-    return tuple(accumulate(e.count for e in variants)), tuple(replacements)
+    return tuple(accumulate(variants.values())), tuple(replacements)
 
 
 def pick_index(cumulative: Sequence[int], u: float) -> int:

@@ -1,16 +1,17 @@
 """Lemma-to-spelling-variants dictionary.
 
-The resource maps each standard written form to the non-standard
-spellings observed for it, together with how often each spelling was
-used. File format is TSV: `lemma<TAB>variant<TAB>count`, UTF-8; blank
-lines and `#` comment lines are skipped. Dictionaries are immutable after
-loading and safe to share across workers; `luxnorm.corrupt` draws the
-variants.
+The resource is a table: each standard written form (lemma) maps to the
+non-standard spellings observed for it, each with how often it was used,
+`lemma -> {variant: count}`. A lemma's variants keep the order of their
+first line in the file; that order and the counts fix which variant each
+seeded draw picks. File format is TSV: `lemma<TAB>variant<TAB>count`,
+UTF-8; blank lines and `#` comment lines are skipped. Dictionaries are
+immutable after loading and safe to share across workers;
+`luxnorm.corrupt` draws the variants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -18,34 +19,26 @@ from luxnorm.errors import DictionaryLookupError, ParseError, parse_int, read_ts
 from luxnorm.tokenizer import is_token
 
 
-@dataclass(frozen=True)
-class VariantEntry:
-    """One observed spelling of a lemma with its usage count."""
-
-    variant: str
-    count: int
-
-
 class VariantDictionary:
-    """Immutable lemma -> weighted variant list with case-folded fallback."""
+    """Immutable table `lemma -> {variant: count}` with case-folded fallback.
 
-    def __init__(self, entries: dict[str, list[VariantEntry]]):
+    The table is kept as given, not copied: a caller hands it over and no
+    longer changes it. Each row keeps its variants in the order given.
+    """
+
+    def __init__(self, entries: dict[str, dict[str, int]]):
         for lemma, variants in entries.items():
             if not is_token(lemma):
                 raise ValueError(f"lemma {lemma!r} is not one token")
             if not variants:
                 raise ValueError(f"lemma {lemma!r} has no variants")
-            seen = set()
-            for entry in variants:
-                if entry.count < 1:
-                    raise ValueError(f"non-positive count for {lemma!r}/{entry.variant!r}")
-                if not entry.variant or "\t" in entry.variant or "\n" in entry.variant:
-                    raise ValueError(f"invalid variant {entry.variant!r} for lemma {lemma!r}")
-                if entry.variant in seen:
-                    raise ValueError(f"duplicate variant {entry.variant!r} for lemma {lemma!r}")
-                seen.add(entry.variant)
+            for variant, count in variants.items():
+                if count < 1:
+                    raise ValueError(f"non-positive count for {lemma!r}/{variant!r}")
+                if not variant or "\t" in variant or "\n" in variant:
+                    raise ValueError(f"invalid variant {variant!r} for lemma {lemma!r}")
         self._entries = entries
-        self._totals = {lemma: sum(e.count for e in vs) for lemma, vs in entries.items()}
+        self._totals = {lemma: sum(variants.values()) for lemma, variants in entries.items()}
         # Case-folded fallback: prefer the highest-total key, then the
         # lexicographically smallest, so folded lookups are deterministic.
         fold: dict[str, str] = {}
@@ -69,9 +62,10 @@ class VariantDictionary:
     def lemmas(self) -> Iterable[str]:
         return self._entries.keys()
 
-    def variants(self, lemma: str) -> list[VariantEntry]:
+    def variants(self, lemma: str) -> dict[str, int]:
+        """A copy of the lemma's row, `{variant: count}` in first-seen order."""
         try:
-            return list(self._entries[lemma])
+            return dict(self._entries[lemma])
         except KeyError:
             raise DictionaryLookupError(lemma) from None
 
@@ -106,15 +100,11 @@ def load_dictionary(path: str | Path) -> VariantDictionary:
         count = parse_int(count_text, "count", path, lineno)
         if count < 1:
             raise ParseError(f"non-positive count: {count}", path=str(path), line=lineno)
-        merged.setdefault(lemma, {})
-        merged[lemma][variant] = merged[lemma].get(variant, 0) + count
+        row = merged.setdefault(lemma, {})
+        row[variant] = row.get(variant, 0) + count
     if not merged:
         raise ParseError("dictionary file contains no entries", path=str(path))
-    entries = {
-        lemma: [VariantEntry(variant, count) for variant, count in variants.items()]
-        for lemma, variants in merged.items()
-    }
-    return VariantDictionary(entries)
+    return VariantDictionary(merged)
 
 
 class ReverseIndex:
@@ -123,8 +113,8 @@ class ReverseIndex:
     def __init__(self, dictionary: VariantDictionary):
         index: dict[str, list[tuple[str, int]]] = {}
         for lemma in dictionary.lemmas():
-            for entry in dictionary.variants(lemma):
-                index.setdefault(entry.variant, []).append((lemma, entry.count))
+            for variant, count in dictionary.variants(lemma).items():
+                index.setdefault(variant, []).append((lemma, count))
         for variant, lemmas in index.items():
             lemmas.sort(key=lambda pair: (-pair[1], pair[0]))
         self._index = index

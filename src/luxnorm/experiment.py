@@ -20,7 +20,6 @@ import logging
 import shlex
 import subprocess
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from luxnorm import __version__
@@ -64,16 +63,6 @@ class ExperimentReport:
             "metrics": self.metrics.to_dict(),
             "suite": self.suite.to_dict(),
         }
-
-
-def read_predictions(path: Path, expected: int) -> list[str]:
-    """Load precomputed predictions, one sentence per line."""
-    lines = read_lines(path)
-    if len(lines) != expected:
-        raise ProtocolError(
-            f"predictions file {path} has {len(lines)} lines, expected {expected}"
-        )
-    return lines
 
 
 def run_external_normalizer(command: str | Sequence[str], sentences: Sequence[str]) -> list[str]:
@@ -182,21 +171,17 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # line counts are checked here, before a normalizer that may be slow runs
-    original, gold = stage(
-        "read-eval-corpus", lambda: read_parallel(config.eval_original, config.eval_gold)
-    )
+    # line counts, `--pred`'s too, are checked here, before a normalizer that may be slow runs
+    paths = [config.eval_original, config.eval_gold]
+    if config.predictions is not None:
+        paths.append(config.predictions)
+    original, gold, *given = stage("read-eval-corpus", lambda: read_parallel(*paths))
     suite = stage("load-suite", lambda: load_suite(config.suite))
-    sentences = [unit.sentence for unit in suite.units]
-
-    def normalize():
-        if config.predictions is not None:
-            predicted = read_predictions(config.predictions, len(original))
-            return predicted, run_normalizer(normalizer, sentences)
-        outputs = run_normalizer(normalizer, original + sentences, fatal=len(original))
-        return outputs[: len(original)], outputs[len(original):]
-
-    predicted, suite_outputs = stage("normalize", normalize)
+    inputs = [] if given else original
+    sentences = inputs + [unit.sentence for unit in suite.units]
+    outputs = stage("normalize", lambda: run_normalizer(normalizer, sentences, fatal=len(inputs)))
+    predicted = given[0] if given else outputs[: len(inputs)]
+    suite_outputs = outputs[len(inputs):]
     (out_dir / "predictions.txt").write_text(
         "".join(line + "\n" for line in predicted), encoding="utf-8"
     )

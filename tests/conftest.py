@@ -11,17 +11,7 @@ import pytest
 import luxnorm
 
 from luxnorm import corrupt, normalize, parallel
-from luxnorm.dictionary import VariantDictionary, VariantEntry
-
-
-def make_dictionary(table: dict[str, dict[str, int]]) -> VariantDictionary:
-    """Build a VariantDictionary from {lemma: {variant: count}}."""
-    return VariantDictionary(
-        {
-            lemma: [VariantEntry(v, c) for v, c in variants.items()]
-            for lemma, variants in table.items()
-        }
-    )
+from luxnorm.dictionary import VariantDictionary
 
 
 class PresetDraws:
@@ -94,7 +84,7 @@ def pool_starts(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def tiny_dictionary() -> VariantDictionary:
-    return make_dictionary(
+    return VariantDictionary(
         {
             "Mëllech": {"Mellech": 120, "Millech": 30},
             "Haus": {"Haus": 5, "Hauss": 5},

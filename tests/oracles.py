@@ -68,7 +68,7 @@ def reference_corrupt_token(token: str, dictionary: VariantDictionary, u: float)
     if key is None:
         return token
     variants = dictionary.variants(key)
-    variant = variants[reference_pick_index([e.count for e in variants], u)].variant
+    variant = list(variants)[reference_pick_index(list(variants.values()), u)]
     if key != core:
         variant = apply_case_pattern(core, variant)
     replacement = prefix + variant

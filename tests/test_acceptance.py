@@ -15,12 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import distant_vocabulary, make_dictionary, mutate_word
+from conftest import distant_vocabulary, mutate_word
 from luxnorm.align import ScoringScheme, align_triple, levenshtein, token_similarity
 from luxnorm.checklist import Setup, default_suite_path, load_suite, run_suite
 from luxnorm.cli import main
 from luxnorm.corrupt import CorpusStats, iter_corrupted
-from luxnorm.dictionary import build_reverse_index
+from luxnorm.dictionary import VariantDictionary, build_reverse_index
 from luxnorm.metrics import Judgment, compute_metrics, evaluate_sentences
 from luxnorm.normalize import Lexicon, Pipeline
 from oracles import brute_force_triple_value, kept, levenshtein_recursive, triple_value_oracle
@@ -53,7 +53,7 @@ def build_round_trip_fixture(seed: int, size: int, sentences: int, ambiguous: bo
         table[vocab[6]] = {vocab[7]: 1}
         table[vocab[8]][vocab[8]] = 1
         table[vocab[9]][vocab[9]] = 1
-    dictionary = make_dictionary(table)
+    dictionary = VariantDictionary(table)
     lexicon = Lexicon({w: rng.randint(1, 50) for w in vocab})
     corpus = []
     for _ in range(sentences):
@@ -233,7 +233,7 @@ def test_round_trip_recovery_err_one():
 
 def test_sampling_fidelity_80_20():
     """10,000 seeded synth draws from an 80/20 lemma stay within +/-0.02."""
-    dictionary = make_dictionary({"w": {"heefeg": 80, "seelen": 20}})
+    dictionary = VariantDictionary({"w": {"heefeg": 80, "seelen": 20}})
     draws = [pair.source for pair in iter_corrupted(["w"] * 10_000, dictionary, seed=42)]
     frequent = draws.count("heefeg") / 10_000
     rare = draws.count("seelen") / 10_000

@@ -9,8 +9,8 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
-from conftest import make_dictionary
 from luxnorm import corrupt
+from luxnorm.dictionary import VariantDictionary
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -41,7 +41,7 @@ def test_traced_synth_records_sentence_and_tokenize_spans(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     layers = importlib.import_module("layers")
     tracer = importlib.import_module("tracer").Tracer()
-    dictionary = make_dictionary({"gutt": {"gut": 1}})
+    dictionary = VariantDictionary({"gutt": {"gut": 1}})
     lines = ["e gutt Joer", "alles gutt.", "gutt"]
     with tracer.installed(layers.TARGETS):
         pairs = list(corrupt.iter_corrupted(lines, dictionary, seed=1, workers=1))
@@ -64,7 +64,7 @@ def test_traced_normalize_records_route_spans(monkeypatch):
     tracer = importlib.import_module("tracer").Tracer()
     lexicon = Lexicon({"gutt": 5, "Joer": 3, "alles": 2})
     with tracer.installed(layers.TARGETS):
-        pipeline = Pipeline(build_reverse_index(make_dictionary({})), lexicon)
+        pipeline = Pipeline(build_reverse_index(VariantDictionary({})), lexicon)
         outputs = pipeline.normalize_lines(["e gudd Joer", "alles gutt."], workers=1)
     names = {span.name for span in tracer.spans()}
     assert outputs == ["e gutt Joer", "alles gutt."]

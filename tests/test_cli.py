@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import pytest
 
-from conftest import make_dictionary, run_python
+from conftest import run_python
 from luxnorm import cli, experiment
 from luxnorm.checklist import Setup, load_suite
 from luxnorm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROTOCOL, build_parser, main
@@ -544,6 +544,46 @@ class TestRunCommand:
         )
         assert code == EXIT_OK
         report = json.loads((out_dir / "report.json").read_text())
+        assert report["metrics"]["err"] == 1.0
+
+    def test_short_predictions_fail_before_normalizing(self, workspace, tmp_path, monkeypatch):
+        # `--pred` is one of the side-by-side files: a wrong line count is a
+        # data error in stage `read-eval-corpus`, and nothing is normalized
+        short = tmp_path / "short.txt"
+        short.write_text("".join(f"{i}\n" for i in range(5)), encoding="utf-8")
+        calls = []
+
+        def recording(sentences):
+            calls.append(len(sentences))
+            return list(sentences)
+
+        monkeypatch.setattr(experiment, "build_normalizer", lambda config: recording)
+        with pytest.raises(StageError) as excinfo:
+            run_experiment(RunConfig(
+                normalizer="identity",
+                eval_original=workspace["orig"],
+                eval_gold=workspace["gold"],
+                predictions=short,
+                output_dir=tmp_path / "out",
+            ))
+        assert excinfo.value.stage == "read-eval-corpus"
+        assert isinstance(excinfo.value.cause, ParseError)
+        assert "12/12/5" in str(excinfo.value)
+        assert calls == []
+        assert not (tmp_path / "out" / "predictions.txt").exists()
+        out_dir = tmp_path / "cli"
+        assert self.run_once(workspace, out_dir, extra=("--pred", str(short))) == EXIT_DATA
+        assert not (out_dir / "predictions.txt").exists()
+
+    def test_predictions_are_read_by_the_reader_rules(self, workspace, tmp_path):
+        gold = workspace["gold"].read_text(encoding="utf-8")
+        pred = tmp_path / "pred.txt"
+        pred.write_bytes(("\ufeff" + gold.replace("\n", "\r\n")).encode("utf-8"))
+        out_dir = tmp_path / "out"
+        extra = ("--normalizer", "identity", "--pred", str(pred))
+        assert self.run_once(workspace, out_dir, extra=extra) == EXIT_OK
+        assert (out_dir / "predictions.txt").read_text(encoding="utf-8") == gold
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["metrics"]["err"] == 1.0
 
     def test_invalid_pipeline_setting_is_config_error(self, workspace, tmp_path):

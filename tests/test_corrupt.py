@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PresetDraws, distant_vocabulary, make_dictionary, mutate_word
+from conftest import PresetDraws, distant_vocabulary, mutate_word
 from luxnorm.corrupt import (
     CorpusStats,
     SentencePair,
@@ -17,75 +17,76 @@ from luxnorm.corrupt import (
     pick_index,
     sentence_rng,
 )
+from luxnorm.dictionary import VariantDictionary
 from luxnorm.tokenizer import splice, tokenize
 from oracles import reference_corrupt_token, reference_pick_index
 
 
 class TestCorruptSentence:
     def test_single_variant_always_replaces(self):
-        dictionary = make_dictionary({"Mëllech": {"Mellech": 1}})
+        dictionary = VariantDictionary({"Mëllech": {"Mellech": 1}})
         pair = corrupt_sentence("Drénk Mëllech", dictionary, random.Random(0))
         assert pair.source == "Drénk Mellech"
         assert pair.target == "Drénk Mëllech"
         assert pair.changed_tokens == 1
 
     def test_no_dictionary_tokens_pass_through(self):
-        dictionary = make_dictionary({"x": {"y": 1}})
+        dictionary = VariantDictionary({"x": {"y": 1}})
         pair = corrupt_sentence("alles bleift gläich", dictionary, random.Random(1))
         assert pair.source == pair.target == "alles bleift gläich"
         assert pair.changed_tokens == 0
 
     def test_identity_variant_counts_as_unchanged(self):
-        dictionary = make_dictionary({"x": {"x": 1}})
+        dictionary = VariantDictionary({"x": {"x": 1}})
         pair = corrupt_sentence("x", dictionary, random.Random(2))
         assert pair.source == "x"
         assert pair.changed_tokens == 0
 
     def test_punctuation_never_replaced(self):
-        dictionary = make_dictionary({"?": {"!": 1}, "wee": {"wee2": 1}})
+        dictionary = VariantDictionary({"?": {"!": 1}, "wee": {"wee2": 1}})
         pair = corrupt_sentence("wee ?", dictionary, random.Random(3))
         assert tokenize(pair.source)[-1] == "?"
 
     def test_clitic_prefix_survives_replacement(self):
-        dictionary = make_dictionary({"Bischt": {"Buscht": 1}})
+        dictionary = VariantDictionary({"Bischt": {"Buscht": 1}})
         pair = corrupt_sentence("Wou ass d'Bischt?", dictionary, random.Random(4))
         assert "d'Buscht" in pair.source
 
     def test_case_folded_lookup_restores_pattern(self):
-        dictionary = make_dictionary({"mëllech": {"mellech": 1}})
+        dictionary = VariantDictionary({"mëllech": {"mellech": 1}})
         pair = corrupt_sentence("Mëllech ass gutt", dictionary, random.Random(5))
         assert pair.source.startswith("Mellech ")
 
     def test_token_counts_preserved(self):
-        dictionary = make_dictionary({"Haus": {"Hauss": 1}, "kleng": {"klenk": 1}})
+        dictionary = VariantDictionary({"Haus": {"Hauss": 1}, "kleng": {"klenk": 1}})
         pair = corrupt_sentence("En Haus ass kleng.", dictionary, random.Random(6))
         assert len(tokenize(pair.source)) == len(tokenize(pair.target))
 
     def test_whitespace_variant_skipped(self):
-        dictionary = make_dictionary({"vläicht": {"vläi cht": 1}})
+        dictionary = VariantDictionary({"vläicht": {"vläi cht": 1}})
         pair = corrupt_sentence("vläicht muer", dictionary, random.Random(7))
         assert pair.source == "vläicht muer"
         assert pair.changed_tokens == 0
 
     def test_variant_with_edge_punctuation_skipped(self):
         # "gut." would write two tokens, "gut" and ".", in the place of one
-        dictionary = make_dictionary({"gutt": {"gut.": 1}})
+        dictionary = VariantDictionary({"gutt": {"gut.": 1}})
         pair = corrupt_sentence("dat ass gutt elo", dictionary, random.Random(7))
         assert pair.source == "dat ass gutt elo"
         assert pair.changed_tokens == 0
 
     def test_unchanged_sentence_keeps_input_bytes(self):
-        dictionary = make_dictionary({"x": {"y": 1}})
+        dictionary = VariantDictionary({"x": {"y": 1}})
         pair = corrupt_sentence('ar "gutt" !', dictionary, random.Random(9))
         assert pair.changed_tokens == 0
         assert pair.source == pair.target == 'ar "gutt" !'
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
-            corrupt_sentence("  ", make_dictionary({"a": {"b": 1}}), random.Random(0))
+            corrupt_sentence("  ", VariantDictionary({"a": {"b": 1}}), random.Random(0))
 
     def test_changed_tokens_equals_positionwise_difference(self):
-        dictionary = make_dictionary(
+        dictionary = VariantDictionary(
             {"gutt": {"gut": 3, "gutt": 1}, "Dag": {"Dach": 1}, "en": {"en": 1}}
         )
         pair = corrupt_sentence("en gutt Dag , en gutt Dag", dictionary, random.Random(8))
@@ -133,7 +134,7 @@ def dictionaries(draw):
         table[lemma] = {v: draw(st.integers(1, 5)) for v in variants}
     key = tuple((lemma, tuple(v.items())) for lemma, v in table.items())
     if key not in _DICTIONARIES:
-        _DICTIONARIES[key] = make_dictionary(table)
+        _DICTIONARIES[key] = VariantDictionary(table)
     return _DICTIONARIES[key], list(table)
 
 
@@ -203,14 +204,14 @@ class TestDeterminism:
         assert sentence_rng(43, 7).random() != a
 
     def test_corpus_is_reproducible(self):
-        dictionary = make_dictionary({"gutt": {"gut": 1, "gutt": 1}})
+        dictionary = VariantDictionary({"gutt": {"gut": 1, "gutt": 1}})
         lines = ["e gutt Joer", "e gutt Buch", "alles gutt"] * 5
         first = list(iter_corrupted(lines, dictionary, seed=42))
         second = list(iter_corrupted(lines, dictionary, seed=42))
         assert first == second
 
     def test_worker_count_does_not_change_output(self, pool_starts):
-        dictionary = make_dictionary({"gutt": {"gut": 1, "gutt": 1}})
+        dictionary = VariantDictionary({"gutt": {"gut": 1, "gutt": 1}})
         lines = [f"nummer {i} ass gutt" for i in range(40)]
         serial = list(iter_corrupted(lines, dictionary, seed=5, workers=1))
         parallel = list(iter_corrupted(lines, dictionary, seed=5, workers=4))
@@ -223,8 +224,8 @@ class TestDeterminism:
         rng = random.Random(99)
         vocab = distant_vocabulary(rng, 8)
         table = {w: {mutate_word(rng, w): 1, w: 1} for w in vocab}
-        full = make_dictionary(table)
-        reduced = make_dictionary({w: v for w, v in table.items() if w != vocab[0]})
+        full = VariantDictionary(table)
+        reduced = VariantDictionary({w: v for w, v in table.items() if w != vocab[0]})
         lines = [" ".join(rng.choices(vocab, k=6)) for _ in range(30)]
         full_pairs = list(iter_corrupted(lines, full, seed=11))
         reduced_pairs = list(iter_corrupted(lines, reduced, seed=11))
@@ -234,7 +235,7 @@ class TestDeterminism:
 
 class TestCorpusStats:
     def test_empty_dictionary_counts_nothing(self):
-        dictionary = make_dictionary({"zzz": {"zz": 1}})
+        dictionary = VariantDictionary({"zzz": {"zz": 1}})
         lines = ["eng zeil", "nach eng zeil", "déi lescht zeil"]
         stats = CorpusStats()
         pairs = list(iter_corrupted(lines, dictionary, seed=1, stats=stats))
@@ -244,7 +245,7 @@ class TestCorpusStats:
         assert [p.source for p in pairs] == lines
 
     def test_blank_lines_skipped_and_counted(self):
-        dictionary = make_dictionary({"a": {"b": 1}})
+        dictionary = VariantDictionary({"a": {"b": 1}})
         stats = CorpusStats()
         pairs = list(iter_corrupted(["a", "", "  ", "a"], dictionary, 3, stats=stats))
         assert len(pairs) == 2
@@ -255,7 +256,7 @@ class TestCorpusStats:
         # the rate is recounted independently from the emitted pairs
         rng = random.Random(1234)
         vocab = distant_vocabulary(rng, 30)
-        dictionary = make_dictionary({w: {w: 1, mutate_word(rng, w): 1} for w in vocab})
+        dictionary = VariantDictionary({w: {w: 1, mutate_word(rng, w): 1} for w in vocab})
         lines = [" ".join(rng.choices(vocab, k=8)) for _ in range(1000)]
         stats = CorpusStats()
         pairs = list(iter_corrupted(lines, dictionary, seed=77, stats=stats))
@@ -270,7 +271,7 @@ class TestCorpusStats:
         assert abs(stats.replacement_rate - 0.5) <= 0.03
 
     def test_jsonl_round_trip(self):
-        dictionary = make_dictionary({"gutt": {"gut": 1}})
+        dictionary = VariantDictionary({"gutt": {"gut": 1}})
         pair = corrupt_sentence("alles gutt", dictionary, random.Random(0))
         record = json.loads(pair.to_json())
         assert record == {"source": "alles gut", "target": "alles gutt", "changed": 1}

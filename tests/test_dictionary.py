@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import PresetDraws, make_dictionary
+from conftest import PresetDraws
+from luxnorm.cli import EXIT_OK, main
 from luxnorm.corrupt import corrupt_sentence
 from luxnorm.dictionary import (
     ReverseIndex,
     VariantDictionary,
-    VariantEntry,
     build_reverse_index,
     load_dictionary,
 )
@@ -34,12 +34,24 @@ class TestLoadDictionary:
     def test_identity_variant(self, tmp_path):
         dictionary = load_dictionary(write_dict(tmp_path, "a\ta\t5\n"))
         assert len(dictionary) == 1
-        assert dictionary.variants("a") == [VariantEntry("a", 5)]
+        assert dictionary.variants("a") == {"a": 5}
         assert dictionary.total_count("a") == 5
 
     def test_duplicate_lines_sum_counts(self, tmp_path):
         dictionary = load_dictionary(write_dict(tmp_path, "x\ty\t2\nx\ty\t2\n"))
-        assert dictionary.variants("x") == [VariantEntry("y", 4)]
+        assert dictionary.variants("x") == {"y": 4}
+
+    def test_variants_keep_first_seen_order(self, tmp_path, capsys):
+        # neither alphabetical nor by count: the file's order fixes which
+        # variant each seeded draw picks
+        path = write_dict(tmp_path, "x\tc\t1\nx\tb\t3\nx\tc\t1\n")
+        dictionary = load_dictionary(path)
+        assert list(dictionary.variants("x").items()) == [("c", 2), ("b", 3)]
+        sources = [corrupt_sentence("x", dictionary, PresetDraws([k / 5])).source for k in range(5)]
+        assert sources == ["c", "c", "b", "b", "b"]
+        assert main(["dict", "validate", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "variant_entries\t2" in lines and "total_count\t5" in lines
 
     def test_comments_ignored(self, tmp_path):
         dictionary = load_dictionary(write_dict(tmp_path, "# header\na\tb\t1\n"))
@@ -72,36 +84,36 @@ class TestLoadDictionary:
 
 class TestReverseIndex:
     def test_single_entry(self):
-        index = build_reverse_index(make_dictionary({"A": {"x": 3}}))
+        index = build_reverse_index(VariantDictionary({"A": {"x": 3}}))
         assert index.lookup("x") == [("A", 3)]
 
     def test_count_descending_order(self):
-        index = build_reverse_index(make_dictionary({"A": {"x": 3}, "B": {"x": 5}}))
+        index = build_reverse_index(VariantDictionary({"A": {"x": 3}, "B": {"x": 5}}))
         assert index.lookup("x") == [("B", 5), ("A", 3)]
 
     def test_every_lemma_round_trips(self, tiny_dictionary):
         index = build_reverse_index(tiny_dictionary)
         for lemma in tiny_dictionary.lemmas():
-            for entry in tiny_dictionary.variants(lemma):
-                assert (lemma, entry.count) in index.lookup(entry.variant)
+            for variant, count in tiny_dictionary.variants(lemma).items():
+                assert (lemma, count) in index.lookup(variant)
 
     def test_index_pairs_exist_in_forward_dictionary(self, tiny_dictionary):
         index = build_reverse_index(tiny_dictionary)
-        variants = {e.variant for lemma in tiny_dictionary.lemmas()
-                    for e in tiny_dictionary.variants(lemma)}
+        variants = {variant for lemma in tiny_dictionary.lemmas()
+                    for variant in tiny_dictionary.variants(lemma)}
         for variant in variants:
             for lemma, count in index.lookup(variant):
-                assert VariantEntry(variant, count) in tiny_dictionary.variants(lemma)
+                assert tiny_dictionary.variants(lemma).get(variant) == count
 
     def test_folded_lookup_merges_casings(self):
         index = build_reverse_index(
-            make_dictionary({"Mëllech": {"Mellech": 120}, "mëllechzocker": {"mellech": 2}})
+            VariantDictionary({"Mëllech": {"Mellech": 120}, "mëllechzocker": {"mellech": 2}})
         )
         assert index.lookup_folded("MELLECH") == [("Mëllech", 120), ("mëllechzocker", 2)]
 
     def test_folded_lookup_sums_a_lemmas_casings(self):
         index = build_reverse_index(
-            make_dictionary({"gutt": {"gudd": 3, "Gudd": 2}, "haus": {"gudd": 4}})
+            VariantDictionary({"gutt": {"gudd": 3, "Gudd": 2}, "haus": {"gudd": 4}})
         )
         assert index.lookup_folded("GUDD") == [("gutt", 5), ("haus", 4)]
         assert index.lookup("gudd") == [("haus", 4), ("gutt", 3)]
@@ -128,28 +140,24 @@ class TestResolve:
             tiny_dictionary.total_count("fehlt")
 
     def test_fold_prefers_higher_total_count(self):
-        dictionary = make_dictionary({"Fall": {"fal": 1}, "fall": {"fann": 9}})
+        dictionary = VariantDictionary({"Fall": {"fal": 1}, "fall": {"fann": 9}})
         assert dictionary.resolve("FALL") == "fall"
 
 
 class TestValidation:
-    def test_rejects_duplicate_variants(self):
-        with pytest.raises(ValueError):
-            VariantDictionary({"a": [VariantEntry("x", 1), VariantEntry("x", 2)]})
-
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
-            VariantDictionary({"a": [VariantEntry("x", 0)]})
+            VariantDictionary({"a": {"x": 0}})
 
     def test_rejects_empty_lemma(self):
         with pytest.raises(ValueError):
-            VariantDictionary({"": [VariantEntry("x", 1)]})
+            VariantDictionary({"": {"x": 1}})
 
     @pytest.mark.parametrize("lemma", ["gutt a", "asw.", "(gutt"])
     def test_lemma_must_be_one_token(self, tmp_path, lemma):
         # normalize writes a lemma in one token's place
         with pytest.raises(ValueError, match="not one token"):
-            VariantDictionary({"ass": [VariantEntry("as", 1)], lemma: [VariantEntry("guta", 1)]})
+            VariantDictionary({"ass": {"as": 1}, lemma: {"guta": 1}})
         path = write_dict(tmp_path, f"ass\tas\t1\n{lemma}\tguta\t1\n")
         with pytest.raises(ParseError, match="not one token") as excinfo:
             load_dictionary(path)
@@ -157,4 +165,4 @@ class TestValidation:
 
     def test_rejects_tab_in_variant(self):
         with pytest.raises(ValueError):
-            VariantDictionary({"a": [VariantEntry("x\ty", 1)]})
+            VariantDictionary({"a": {"x\ty": 1}})

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dictionary
-from luxnorm.dictionary import build_reverse_index
+from luxnorm.dictionary import VariantDictionary, build_reverse_index
 from luxnorm.errors import ParseError, ProtocolError
-from luxnorm.experiment import read_predictions, run_external_normalizer
+from luxnorm.experiment import run_external_normalizer
 from luxnorm.normalize import (
     LUX_ALPHABET,
     Lexicon,
@@ -143,7 +142,7 @@ _EDIT_CASES = st.text(alphabet=EDIT_CHARS, min_size=1, max_size=6).flatmap(
 def no_variant_pipeline(lexicon: Lexicon, **config_kwargs) -> Pipeline:
     """A pipeline whose variant dictionary is empty."""
     return Pipeline(
-        build_reverse_index(make_dictionary({})), lexicon, PipelineConfig(**config_kwargs)
+        build_reverse_index(VariantDictionary({})), lexicon, PipelineConfig(**config_kwargs)
     )
 
 
@@ -406,7 +405,7 @@ class TestNgramIndex:
 
 
 def build_pipeline(**config_kwargs) -> Pipeline:
-    dictionary = make_dictionary(
+    dictionary = VariantDictionary(
         {
             "Mëllech": {"Mellech": 120, "Millech": 30},
             "Biischt": {"Bischt": 4},
@@ -453,7 +452,7 @@ class TestNormalizeToken:
         assert pipeline.normalize_token("gutt") == "gutt"
 
     def test_unique_reverse_entry_with_empty_neighborhood(self):
-        dictionary = make_dictionary({"Mëllech": {"Qqqqx": 1}})
+        dictionary = VariantDictionary({"Mëllech": {"Qqqqx": 1}})
         lexicon = Lexicon({"wäit": 1})  # nothing near the variant
         pipeline = Pipeline(build_reverse_index(dictionary), lexicon)
         assert pipeline.normalize_token("Qqqqx") == "Mëllech"
@@ -474,7 +473,7 @@ class TestNormalizeToken:
     def test_sentence_initial_capitalization_beats_lowercase_twin(self):
         # the case-restored variant must outrank the lowercase lexicon
         # form even when the lexicon word is frequent and ngram-close
-        dictionary = make_dictionary({"wuert": {"vuert": 1}})
+        dictionary = VariantDictionary({"wuert": {"vuert": 1}})
         lexicon = Lexicon({"wuert": 100, "ganz": 2})
         pipeline = Pipeline(build_reverse_index(dictionary), lexicon)
         assert pipeline.normalize_token("Vuert") == "Wuert"
@@ -486,7 +485,7 @@ class TestNormalizeToken:
 
     def test_folded_variant_counts_every_casing_of_a_lemma(self):
         # gutt holds 5 of the 9 attestations of gudd in any casing, haus 4
-        dictionary = make_dictionary({"gutt": {"gudd": 3, "Gudd": 2}, "haus": {"gudd": 4}})
+        dictionary = VariantDictionary({"gutt": {"gudd": 3, "Gudd": 2}, "haus": {"gudd": 4}})
         pipeline = Pipeline(build_reverse_index(dictionary), Lexicon({"gutt": 5, "haus": 5}))
         assert pipeline.candidates("GUDD")["GUTT"][0] == 5 / 9
         assert pipeline.normalize_token("GUDD") == "GUTT"
@@ -513,7 +512,7 @@ class TestNormalizeToken:
     def test_choice_matches_reference(self, counts, table, token, weights):
         lexicon = Lexicon(counts)
         config = PipelineConfig(weights)
-        pipeline = Pipeline(build_reverse_index(make_dictionary(table)), lexicon, config)
+        pipeline = Pipeline(build_reverse_index(VariantDictionary(table)), lexicon, config)
         expected = reference_choose(token, pipeline.candidates(token), weights, lexicon)
         assert pipeline._normalize_token(token) == expected
 
@@ -543,11 +542,11 @@ class TestNormalizeSentence:
     @pytest.mark.parametrize("sentence", ['gesot "Moien"', "Hallo , Welt", "a  b\tc"])
     def test_known_words_keep_input_bytes(self, sentence):
         lexicon = Lexicon({word: 1 for word in ("gesot", "Moien", "Hallo", "Welt", "a", "b", "c")})
-        pipeline = Pipeline(build_reverse_index(make_dictionary({})), lexicon)
+        pipeline = Pipeline(build_reverse_index(VariantDictionary({})), lexicon)
         assert pipeline.normalize_sentence(sentence) == sentence
 
     def test_quotes_stay_put_around_a_correction(self):
-        dictionary = make_dictionary({"Mëllech": {"Mellech": 1}})
+        dictionary = VariantDictionary({"Mëllech": {"Mellech": 1}})
         lexicon = Lexicon({"gesot": 1, "Mëllech": 1})
         pipeline = Pipeline(build_reverse_index(dictionary), lexicon)
         assert pipeline.normalize_sentence('gesot "Mellech"') == 'gesot "Mëllech"'
@@ -700,14 +699,3 @@ class TestExternalNormalizer:
 
     def test_empty_batch_short_circuits(self):
         assert run_external_normalizer(["/nonexistent/normalizer"], []) == []
-
-    def test_predictions_file(self, tmp_path):
-        path = tmp_path / "pred.txt"
-        path.write_text("eent\nzwee\n", encoding="utf-8")
-        assert read_predictions(path, 2) == ["eent", "zwee"]
-
-    def test_predictions_count_mismatch(self, tmp_path):
-        path = tmp_path / "pred.txt"
-        path.write_text("eent\n", encoding="utf-8")
-        with pytest.raises(ProtocolError):
-            read_predictions(path, 2)

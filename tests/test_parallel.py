@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from conftest import make_dictionary
 from luxnorm.corrupt import iter_corrupted
 from luxnorm.dictionary import VariantDictionary
 from luxnorm.parallel import ordered_map
@@ -120,7 +119,7 @@ def _refuse_pickling(self, protocol):
     reason="only forked workers receive the dictionary without pickling it",
 )
 def test_corrupt_workers_never_pickle_the_dictionary(monkeypatch, pool_starts):
-    dictionary = make_dictionary({"gutt": {"gut": 1, "gutt": 1}, "Joer": {"Johr": 1}})
+    dictionary = VariantDictionary({"gutt": {"gut": 1, "gutt": 1}, "Joer": {"Johr": 1}})
     lines = [f"e gutt Joer {i}" for i in range(200)]
     serial = list(iter_corrupted(lines, dictionary, seed=9))
     assert pool_starts == []
