@@ -22,7 +22,7 @@ from typing import Sequence
 from luxnorm.align import GAP, needleman_wunsch
 from luxnorm.errors import ParseError, parse_int, read_tsv
 from luxnorm.metrics import nfc
-from luxnorm.tokenizer import is_token, splice, tokenize
+from luxnorm.tokenizer import is_token, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -51,54 +51,19 @@ class TestUnit:
     gloss: str = ""
     provenance: str = ""
 
-    def gold_sentence(self) -> str:
-        """The fully standard version of this unit's sentence."""
-        if self.setup is Setup.PRESERVE:
-            return self.sentence
-        tokens = tokenize(self.sentence)
-        gold = list(tokens)
-        gold[self.target_index] = self.expected
-        return splice(self.sentence, tokens, gold)
-
-
-@dataclass
-class TestSuite:
-    __test__ = False  # domain type, not a pytest class
-
-    units: list[TestUnit]
-
-    @property
-    def categories(self) -> list[str]:
-        """The units' categories, in first-seen order."""
-        return list(dict.fromkeys(unit.category for unit in self.units))
-
-    @property
-    def is_complete(self) -> bool:
-        return (
-            len(self.categories) == EXPECTED_CATEGORIES
-            and len(self.units) == EXPECTED_TOTAL_UNITS
-        )
-
-    def select(self, setup: Setup, category: str | None = None) -> list[TestUnit]:
-        return [
-            u
-            for u in self.units
-            if u.setup is setup and (category is None or u.category == category)
-        ]
-
 
 def default_suite_path() -> Path:
     """Location of the suite data shipped with the package."""
     return Path(resources.files("luxnorm") / "data" / "mft_suite.tsv")
 
 
-def load_suite(path: str | Path | None = None) -> TestSuite:
-    """Load and validate a suite TSV.
+def load_suite(path: str | Path | None = None) -> list[TestUnit]:
+    """Load and validate a suite TSV; its units, in file order.
 
     Columns: category, setup, sentence, target_index, expected, gloss,
-    provenance. CORRECT units must have a target token that actually
-    differs from the expected form (otherwise there is nothing to fix and
-    the unit is rejected). Partial suites load but are flagged.
+    provenance. CORRECT units must have a target token that differs from
+    the expected form in NFC (otherwise there is nothing to fix and the
+    unit is rejected). Partial suites load but are flagged.
     """
     path = Path(path) if path is not None else default_suite_path()
     units: list[TestUnit] = []
@@ -126,7 +91,7 @@ def load_suite(path: str | Path | None = None) -> TestSuite:
                     path=str(path),
                     line=lineno,
                 )
-            if tokens[target_index] == expected:
+            if nfc(tokens[target_index]) == nfc(expected):
                 raise ParseError(
                     f"target token already equals expected form {expected!r}; "
                     "the corruption is missing",
@@ -147,16 +112,16 @@ def load_suite(path: str | Path | None = None) -> TestSuite:
         units.append(unit)
     if not units:
         raise ParseError("suite file contains no units", path=str(path))
-    suite = TestSuite(units)
-    if not suite.is_complete:
+    categories = {unit.category for unit in units}
+    if (len(categories), len(units)) != (EXPECTED_CATEGORIES, EXPECTED_TOTAL_UNITS):
         logger.warning(
             "partial suite: %d categories, %d units (expected %d/%d)",
-            len(suite.categories),
+            len(categories),
             len(units),
             EXPECTED_CATEGORIES,
             EXPECTED_TOTAL_UNITS,
         )
-    return suite
+    return units
 
 
 @dataclass
@@ -282,15 +247,17 @@ def run_preserve_setup(
     return _tally(units, outputs)
 
 
-def run_suite(suite: TestSuite, outputs: Sequence[str | None]) -> SuiteReport:
+def run_suite(units: Sequence[TestUnit], outputs: Sequence[str | None]) -> SuiteReport:
     """Score both setups from the outputs, one per unit in suite order;
-    a None output fails its unit as `<error>`."""
-    if len(outputs) != len(suite.units):
-        raise ValueError(f"{len(outputs)} outputs for {len(suite.units)} suite units")
-    report = SuiteReport(categories=suite.categories, cells={})
+    a None output fails its unit as `<error>`. The report's categories are
+    the units', in first-seen order."""
+    if len(outputs) != len(units):
+        raise ValueError(f"{len(outputs)} outputs for {len(units)} suite units")
+    categories = list(dict.fromkeys(unit.category for unit in units))
+    report = SuiteReport(categories=categories, cells={})
     for setup, score in ((Setup.CORRECT, run_correct_setup), (Setup.PRESERVE, run_preserve_setup)):
-        chosen = [i for i, unit in enumerate(suite.units) if unit.setup is setup]
-        cells = score([suite.units[i] for i in chosen], [outputs[i] for i in chosen])
+        chosen = [i for i, unit in enumerate(units) if unit.setup is setup]
+        cells = score([units[i] for i in chosen], [outputs[i] for i in chosen])
         report.cells.update(((category, setup), cell) for category, cell in cells.items())
     return report
 

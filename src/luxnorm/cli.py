@@ -260,9 +260,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_checklist(args: argparse.Namespace) -> int:
     config = _config(args)
-    suite = load_suite(config.suite)
+    units = load_suite(config.suite)
     normalizer = build_normalizer(config)
-    report = run_suite(suite, run_normalizer(normalizer, [u.sentence for u in suite.units]))
+    report = run_suite(units, run_normalizer(normalizer, [u.sentence for u in units]))
     rendered = render_report(report, args.format)
     if args.report is not None:
         args.report.write_text(rendered + "\n", encoding="utf-8")

@@ -176,9 +176,9 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     if config.predictions is not None:
         paths.append(config.predictions)
     original, gold, *given = stage("read-eval-corpus", lambda: read_parallel(*paths))
-    suite = stage("load-suite", lambda: load_suite(config.suite))
+    units = stage("load-suite", lambda: load_suite(config.suite))
     inputs = [] if given else original
-    sentences = inputs + [unit.sentence for unit in suite.units]
+    sentences = inputs + [unit.sentence for unit in units]
     outputs = stage("normalize", lambda: run_normalizer(normalizer, sentences, fatal=len(inputs)))
     predicted = given[0] if given else outputs[: len(inputs)]
     suite_outputs = outputs[len(inputs):]
@@ -189,7 +189,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     metrics, _ = stage(
         "evaluate", lambda: evaluate_sentences(original, predicted, gold, scheme)
     )
-    suite_report = stage("checklist", lambda: run_suite(suite, suite_outputs))
+    suite_report = stage("checklist", lambda: run_suite(units, suite_outputs))
 
     checksums = {}
     for key in INPUT_FILE_KEYS:

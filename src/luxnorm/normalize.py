@@ -65,7 +65,10 @@ def _collector_paused():
 
 
 class Lexicon:
-    """Known-correct word forms with corpus frequencies."""
+    """Known-correct word forms with corpus frequencies.
+
+    A form with a leading article clitic counts as its core, the part of a
+    token that `Pipeline.normalize_sentence` looks up."""
 
     def __init__(self, counts: dict[str, int]):
         for word, count in counts.items():
@@ -74,8 +77,15 @@ class Lexicon:
             if count < 1:
                 raise ValueError(f"non-positive count for {word!r}")
         self._counts = dict(counts)
+        # only a form with an apostrophe can carry a clitic; all such forms
+        # leave before any core is added, as a core may be one of them
+        moved = [(w, core) for w in counts if "'" in w and (core := split_clitic(w)[1]) != w]
+        for word, _ in moved:
+            del self._counts[word]
+        for word, core in moved:
+            self._counts[core] = self._counts.get(core, 0) + counts[word]
         self._fold_counts: dict[str, int] = {}
-        for word, count in counts.items():
+        for word, count in self._counts.items():
             key = word.casefold()
             self._fold_counts[key] = self._fold_counts.get(key, 0) + count
         self._max_fold_count = max(self._fold_counts.values()) if counts else 1

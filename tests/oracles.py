@@ -2,9 +2,9 @@
 
 Everything here favors obviousness over speed: plain recursion and
 exhaustive enumeration, no shared code with the package under test
-beyond its alignment types, `token_similarity`, the tokenizer's clitic
-and casing helpers, the dictionary's per-lemma lookups and the lexicon's
-forms and counts.
+beyond its alignment types, `token_similarity`, the tokenizer's clitic,
+casing and splicing helpers, the dictionary's per-lemma lookups, the
+lexicon's forms and counts, and the checklist's unit type.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from luxnorm.align import DEFAULT_SCHEME, GAP, Alignment, ScoringScheme, token_similarity
+from luxnorm.checklist import Setup, TestUnit
 from luxnorm.dictionary import VariantDictionary
 from luxnorm.normalize import Lexicon
-from luxnorm.tokenizer import apply_case_pattern, is_punctuation, split_clitic
+from luxnorm.tokenizer import apply_case_pattern, is_punctuation, splice, split_clitic, tokenize
 
 
 def reference_tokenize(sentence: str) -> list[str]:
@@ -583,3 +584,21 @@ def reference_align_triple(
         columns.append((x, y, z))
     columns.reverse()
     return Alignment(tuple(columns), score[no * plane + np_ * depth + ng])
+
+
+def select(units: Sequence[TestUnit], setup: Setup, category: str | None = None) -> list[TestUnit]:
+    """The suite units of one setup, of one category if given, in suite order."""
+    return [
+        u for u in units if u.setup is setup and (category is None or u.category == category)
+    ]
+
+
+def gold_sentence(unit: TestUnit) -> str:
+    """The fully standard version of a unit's sentence: a CORRECT unit's
+    target token replaced by its expected form, all else as written."""
+    if unit.setup is Setup.PRESERVE:
+        return unit.sentence
+    tokens = tokenize(unit.sentence)
+    gold = list(tokens)
+    gold[unit.target_index] = unit.expected
+    return splice(unit.sentence, tokens, gold)

@@ -81,20 +81,18 @@ def test_traced_eval_and_checklist_record_align_spans(monkeypatch):
     # `checklist.preserve_s` with `trace.one`, which raises when a span is
     # missing
     from luxnorm import checklist, metrics
-    from luxnorm.checklist import Setup, TestSuite, TestUnit
+    from luxnorm.checklist import Setup, TestUnit
 
     monkeypatch.syspath_prepend(str(BENCH))
     layers = importlib.import_module("layers")
     tracer = importlib.import_module("tracer").Tracer()
-    suite = TestSuite(
-        [TestUnit(1, "spelling", Setup.CORRECT, "e gudd Joer", 1, "gutt"),
-         TestUnit(2, "spelling", Setup.PRESERVE, "alles gutt.")],
-    )
+    units = [TestUnit(1, "spelling", Setup.CORRECT, "e gudd Joer", 1, "gutt"),
+             TestUnit(2, "spelling", Setup.PRESERVE, "alles gutt.")]
     with tracer.installed(layers.TARGETS):
         report, _ = metrics.evaluate_sentences(
             ["e gudd Joer", "alles gutt."], ["e gutt Joer", "alles gutt."],
             ["e gutt Joer", "alles gutt."])
-        suite_report = checklist.run_suite(suite, [unit.sentence for unit in suite.units])
+        suite_report = checklist.run_suite(units, [unit.sentence for unit in units])
     names = [span.name for span in tracer.spans()]
     assert (report.tp, report.fp, report.fn) == (1, 0, 0)
     assert suite_report.cell("spelling", Setup.CORRECT).success_rate == 0

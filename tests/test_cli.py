@@ -16,6 +16,7 @@ from luxnorm.config import ConfigError, RunConfig, build_config, effective_worke
 from luxnorm.errors import ParseError, ProtocolError
 from luxnorm.experiment import StageError, run_experiment
 from luxnorm.tokenizer import split_clitic, tokenize
+from oracles import gold_sentence
 
 
 class TestDictValidate:
@@ -346,7 +347,7 @@ class TestRunCommand:
 
     def test_checklist_rates_a_normalizer_as_the_run_does(self, workspace, tmp_path):
         # a lexicon of the suite's gold words gives rates other than 0 and 100
-        tokens = {token for unit in load_suite().units for token in tokenize(unit.gold_sentence())}
+        tokens = {token for unit in load_suite() for token in tokenize(gold_sentence(unit))}
         words = {split_clitic(token)[1] for token in tokens}
         lexicon = "".join(f"{word}\t1\n" for word in sorted(words))
         workspace["lexicon"].write_text(lexicon, encoding="utf-8")
@@ -377,7 +378,7 @@ class TestRunCommand:
             predictions=workspace["gold"] if pred else None,
             output_dir=tmp_path / "out",
         ))
-        units = len(load_suite().units)
+        units = len(load_suite())
         assert batches == ([(units, 0)] if pred else [(12 + units, 12)])
         assert sum(cell.total for cell in report.suite.cells.values()) == units
 
@@ -385,7 +386,7 @@ class TestRunCommand:
         # a normalizer that fails on the one batch and on one suite sentence:
         # the eval corpus goes alone, and only that unit fails, as `<error>`
         eval_lines = workspace["orig"].read_text(encoding="utf-8").splitlines()
-        bad = next(u for u in load_suite().units if u.setup is Setup.PRESERVE)
+        bad = next(u for u in load_suite() if u.setup is Setup.PRESERVE)
 
         def flaky(sentences):
             if len(sentences) > len(eval_lines) or bad.sentence in sentences:
@@ -423,7 +424,7 @@ class TestRunCommand:
         ))
 
     def test_one_bad_suite_unit_costs_few_calls(self, workspace, tmp_path, monkeypatch):
-        bad = load_suite().units[300]
+        bad = load_suite()[300]
         calls = []
 
         def flaky(sentences):

@@ -106,6 +106,13 @@ class TestLexicon:
             load_lexicon(path)
         assert excinfo.value.line == 2
 
+    def test_clitic_form_counts_as_its_core(self):
+        # the sentence normalizer looks up a token's core, so that is the key
+        lexicon = Lexicon({"D'Haus": 1, "d'Haus": 2, "Haus": 4, "l'Bam": 3, "d'": 5})
+        assert {word: lexicon.count(word) for word in lexicon} == {"Haus": 7, "Bam": 3, "d'": 5}
+        assert "d'Haus" not in lexicon
+        assert lexicon.relative_frequency_folded("haus") == 1.0
+
 
 # letters of LUX_ALPHABET plus characters that may only be deleted or moved
 EDIT_CHARS = "aäbA-2'"
@@ -571,6 +578,31 @@ class TestNormalizeSentence:
         pipeline = build_pipeline()
         sentence = " ".join(tokens)
         assert pipeline.normalize_sentence(sentence) == sentence
+
+    def test_lexicon_form_with_clitic_is_not_doubled(self):
+        lexicon = Lexicon({"D'Haaptsaach": 1, "ass": 1, "gutt": 1})
+        pipeline = no_variant_pipeline(lexicon)
+        assert pipeline.normalize_lines(["D'Haaptsaach ass gutt."]) == ["D'Haaptsaach ass gutt."]
+
+    @given(
+        st.lists(st.text(alphabet="abdeghlmnstuäë", min_size=1, max_size=6), min_size=1,
+                 max_size=6, unique=True),
+        st.sampled_from(["d'", "D'", "l'", "L'", "m'", "M'", "t'", "T'", "z'", "Z'"]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_clitic_form_normalizes_as_its_core(self, words, clitic, data):
+        word = data.draw(st.sampled_from(words))
+        counts = {w: i + 1 for i, w in enumerate(words)}
+        plain = no_variant_pipeline(Lexicon(counts))
+        with_clitic = no_variant_pipeline(
+            Lexicon({clitic + w if w == word else w: count for w, count in counts.items()})
+        )
+        queries = st.text(alphabet="abdeghlmnstuäë'", min_size=1, max_size=7)
+        tokens = data.draw(st.lists(queries | st.sampled_from(words), max_size=5))
+        sentence = " ".join([clitic + word, *tokens])
+        assert with_clitic.normalize_sentence(sentence) == plain.normalize_sentence(sentence)
+        assert with_clitic.normalize_sentence(clitic + word) == clitic + word
 
 
 class TestNormalizeLines:

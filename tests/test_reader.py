@@ -47,7 +47,7 @@ READERS = {
         load_suite,
         ["Cat\tCORRECT\tAlles gut.\t1\tgutt\tgloss\tcore",
          "Cat\tPRESERVE\tAlles gutt.\t\t\t\tcore"],
-        lambda suite: suite.units,
+        lambda units: units,
     ),
     "lines": (read_lines, ["Moien,", "", "wéi geet et?"], lambda lines: lines),
 }
