@@ -21,16 +21,8 @@ from itertools import combinations
 from typing import Sequence
 
 
-class _GapType:
-    """Sentinel for an alignment gap; disjoint from every token string."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "GAP"
-
-
-GAP = _GapType()
+# An alignment gap: unequal to every token, and the same object after pickling or copying
+GAP = None
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ DEFAULT_SCHEME = ScoringScheme()
 class Alignment:
     """Position-wise aligned token columns, one entry per input sequence."""
 
-    columns: tuple[tuple[object, ...], ...]
+    columns: tuple[tuple[str | None, ...], ...]
     score: float
 
 
@@ -179,7 +171,7 @@ def _pair_scores(
 # order: all-diagonal, then two-sequence advances, then single advances.
 
 
-def _traceback(move: Sequence, seqs: Sequence[Sequence[str]]) -> tuple[tuple[object, ...], ...]:
+def _traceback(move: Sequence, seqs: Sequence[Sequence[str]]) -> tuple[tuple[str | None, ...], ...]:
     """Columns of the optimal path, walked back from the last cell.
 
     `move` is indexed by position, one level per sequence:

@@ -176,7 +176,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             out.write(pair.to_json() + "\n")
     if args.stats is not None:
         args.stats.write_text(
-            json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+            newline="\n",
         )
     print(
         f"synthesized {stats.pair_count} pairs "
@@ -189,7 +191,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     normalizer = build_normalizer(_config(args))
     lines = read_lines(args.input)
     outputs = normalizer(lines)
-    args.out.write_text("".join(line + "\n" for line in outputs), encoding="utf-8")
+    args.out.write_text("".join(line + "\n" for line in outputs), encoding="utf-8", newline="\n")
     print(f"normalized {len(lines)} sentences")
     return EXIT_OK
 
@@ -205,7 +207,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
                 "\t".join(GAP_MARKER if t is GAP else t for t in (x, y, z))
             )
         rows.append("")  # blank row between sentences
-    args.dump.write_text("\n".join(rows).rstrip("\n") + "\n", encoding="utf-8")
+    args.dump.write_text("\n".join(rows).rstrip("\n") + "\n", encoding="utf-8", newline="\n")
     print(f"aligned {len(original)} sentence triples")
     return EXIT_OK
 
@@ -250,7 +252,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 )
         text = "\n".join(lines) + "\n"
     if args.report is not None:
-        args.report.write_text(text, encoding="utf-8")
+        args.report.write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
     err = report.to_dict()["err"]
@@ -265,7 +267,7 @@ def _cmd_checklist(args: argparse.Namespace) -> int:
     report = run_suite(units, run_normalizer(normalizer, [u.sentence for u in units]))
     rendered = render_report(report, args.format)
     if args.report is not None:
-        args.report.write_text(rendered + "\n", encoding="utf-8")
+        args.report.write_text(rendered + "\n", encoding="utf-8", newline="\n")
     print(rendered)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from luxnorm.errors import DictionaryLookupError, ParseError, parse_int, read_tsv
-from luxnorm.tokenizer import is_token
+from luxnorm.tokenizer import is_token, split_clitic
 
 
 class VariantDictionary:
@@ -86,12 +86,20 @@ class VariantDictionary:
 def load_dictionary(path: str | Path) -> VariantDictionary:
     """Load and validate a TSV variant dictionary.
 
-    Duplicate (lemma, variant) lines have their counts summed. Blank lines
-    and lines starting with `#` are ignored. Raises ParseError with the
-    offending line number for malformed input, and on empty files.
+    An entry whose lemma and variant both start with an article clitic is
+    filed under their cores, the keys every lookup sees; an entry where
+    only one side has a clitic stays as written. Duplicate (lemma, variant)
+    lines have their counts summed. Blank lines and lines starting with `#`
+    are ignored. Raises ParseError with the offending line number for
+    malformed input, and on empty files.
     """
     merged: dict[str, dict[str, int]] = {}
     for lineno, (lemma, variant, count_text) in read_tsv(path, 3):
+        if "'" in lemma and "'" in variant:  # only a form with an apostrophe can carry a clitic
+            lemma_clitic, lemma_core = split_clitic(lemma)
+            variant_clitic, variant_core = split_clitic(variant)
+            if lemma_clitic and variant_clitic:
+                lemma, variant = lemma_core, variant_core
         if not is_token(lemma):
             message = f"empty lemma or not one token: {lemma!r}"
             raise ParseError(message, path=str(path), line=lineno)

@@ -183,7 +183,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     predicted = given[0] if given else outputs[: len(inputs)]
     suite_outputs = outputs[len(inputs):]
     (out_dir / "predictions.txt").write_text(
-        "".join(line + "\n" for line in predicted), encoding="utf-8"
+        "".join(line + "\n" for line in predicted), encoding="utf-8", newline="\n"
     )
 
     metrics, _ = stage(
@@ -208,8 +208,9 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     (out_dir / "report.json").write_text(
         json.dumps(report.to_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
+        newline="\n",
     )
     (out_dir / "suite_report.txt").write_text(
-        render_report(suite_report, "table") + "\n", encoding="utf-8"
+        render_report(suite_report, "table") + "\n", encoding="utf-8", newline="\n"
     )
     return report

@@ -29,8 +29,8 @@ class Judgment(Enum):
     TN = "tn"
 
 
-def nfc(token: object) -> object:
-    """NFC form of a token; GAP passes through, unequal to every string."""
+def nfc(token: str | None) -> str | None:
+    """NFC form of a token; GAP (None) passes through, unequal to every string."""
     if isinstance(token, str):
         return unicodedata.normalize("NFC", token)
     return token

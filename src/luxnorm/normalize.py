@@ -71,19 +71,15 @@ class Lexicon:
     token that `Pipeline.normalize_sentence` looks up."""
 
     def __init__(self, counts: dict[str, int]):
+        self._counts: dict[str, int] = {}
         for word, count in counts.items():
             if not is_token(word):
                 raise ValueError(f"lexicon form {word!r} is not one token")
             if count < 1:
                 raise ValueError(f"non-positive count for {word!r}")
-        self._counts = dict(counts)
-        # only a form with an apostrophe can carry a clitic; all such forms
-        # leave before any core is added, as a core may be one of them
-        moved = [(w, core) for w in counts if "'" in w and (core := split_clitic(w)[1]) != w]
-        for word, _ in moved:
-            del self._counts[word]
-        for word, core in moved:
-            self._counts[core] = self._counts.get(core, 0) + counts[word]
+            if "'" in word:  # only a form with an apostrophe can carry a clitic
+                word = split_clitic(word)[1]
+            self._counts[word] = self._counts.get(word, 0) + count
         self._fold_counts: dict[str, int] = {}
         for word, count in self._counts.items():
             key = word.casefold()

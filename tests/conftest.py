@@ -58,7 +58,7 @@ def run_python(args: list[str], timeout: float = 60) -> subprocess.CompletedProc
     src = str(Path(luxnorm.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     try:
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+        return subprocess.run([sys.executable, *args], capture_output=True, encoding="utf-8",
                               timeout=timeout, env=env)
     except subprocess.TimeoutExpired:
         pytest.fail(f"still running after {timeout} s: python {' '.join(args)}")

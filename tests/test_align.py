@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import time
 from pathlib import Path
@@ -246,6 +248,18 @@ class TestAlignTriple:
         assert kept(result, 1) == list(p)
         assert kept(result, 2) == list(g)
         assert all(col != (GAP, GAP, GAP) for col in result.columns)
+
+
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy])
+def test_gaps_survive_pickling_and_copying(copy_of):
+    # an alignment sent to another process is pickled, and a caller may copy it
+    for alignment, gaps in (
+        (align_triple(["a", "b"], ["a"], ["a", "b", "c"], SCHEME), 3),
+        (needleman_wunsch(["a", "b"], ["b", "c"], SCHEME), 2),
+    ):
+        copied = copy_of(alignment)
+        assert copied == alignment
+        assert sum(token is GAP for column in copied.columns for token in column) == gaps
 
 
 @st.composite

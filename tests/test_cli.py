@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
+import pickle
 import shlex
 import sys
 from dataclasses import fields
@@ -57,10 +59,10 @@ class TestSynth:
             ]
         )
         assert code == EXIT_OK
-        records = [json.loads(line) for line in out.read_text().splitlines()]
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert len(records) == 12
         assert all(set(r) == {"source", "target", "changed"} for r in records)
-        stats_data = json.loads(stats.read_text())
+        stats_data = json.loads(stats.read_text(encoding="utf-8"))
         assert stats_data["pair_count"] == 12
 
     def test_missing_dict_flag_names_it(self, capsys):
@@ -146,6 +148,21 @@ class TestAlignCommand:
         assert lines[0] == "original\tpredicted\tgold"
         assert "zwee\t<GAP>\tzwee" in lines
 
+    def test_copied_alignment_writes_gap_markers(self, tmp_path, monkeypatch):
+        # the gap is the same object after the alignment is pickled
+        aligned = cli.align_triple
+        monkeypatch.setattr(cli, "align_triple", lambda *a: pickle.loads(pickle.dumps(aligned(*a))))
+        args = ["align"]
+        for side, text in (("orig", "a b\n"), ("pred", "a\n"), ("gold", "a b c\n")):
+            path = tmp_path / f"{side}.txt"
+            path.write_text(text, encoding="utf-8")
+            args += [f"--{side}", str(path)]
+        dump = tmp_path / "dump.tsv"
+        assert main([*args, "--dump", str(dump)]) == EXIT_OK
+        assert dump.read_text(encoding="utf-8").splitlines()[1:] == [
+            "a\ta\ta", "b\t<GAP>\tb", "<GAP>\t<GAP>\tc"
+        ]
+
     def test_line_count_mismatch_is_data_error(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -196,7 +213,7 @@ class TestEvalCommand:
             ]
         )
         assert code == EXIT_OK
-        data = json.loads(report.read_text())
+        data = json.loads(report.read_text(encoding="utf-8"))
         assert data["metrics"]["err"] == 1.0
         assert data["metrics"]["cer"] == 0.0
 
@@ -228,7 +245,7 @@ class TestEvalCommand:
             ]
         )
         assert code == EXIT_OK
-        text = report.read_text()
+        text = report.read_text(encoding="utf-8")
         assert "err\t0" in text
         assert "sentence\ttp\tfp\tfn\ttn" in text
 
@@ -259,7 +276,7 @@ class TestChecklistCommand:
             ["checklist", "--normalizer", "identity", "--report", str(report), "--format", "tsv"]
         )
         assert code == EXIT_OK
-        lines = report.read_text().splitlines()
+        lines = report.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "category\tcorrect\tpreserve"
         assert len(lines) == 22
         for line in lines[1:]:
@@ -290,7 +307,7 @@ class TestChecklistCommand:
             ["checklist", "--normalizer", "cmd:/nonexistent/tool", "--report", str(report), "--format", "tsv"]
         )
         assert code == EXIT_OK
-        for line in report.read_text().splitlines()[1:]:
+        for line in report.read_text(encoding="utf-8").splitlines()[1:]:
             _, correct, preserve = line.split("\t")
             assert correct == "0"
             assert preserve == "0"
@@ -313,7 +330,7 @@ class TestRunCommand:
     def test_full_run_writes_report(self, workspace, tmp_path):
         out_dir = tmp_path / "out"
         assert self.run_once(workspace, out_dir) == EXIT_OK
-        report = json.loads((out_dir / "report.json").read_text())
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["metrics"]["err"] == 1.0
         assert set(report["input_checksums"]) >= {"dictionary", "lexicon", "eval_original"}
         assert (out_dir / "predictions.txt").exists()
@@ -324,7 +341,7 @@ class TestRunCommand:
         for name, workers in (("a", ()), ("b", ("--workers", "8"))):
             out_dir = tmp_path / name
             assert self.run_once(workspace, out_dir, extra=workers) == EXIT_OK
-            data = json.loads((out_dir / "report.json").read_text())
+            data = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
             data.pop("timestamp")
             data["config"].pop("output_dir")
             data["config"].pop("workers")
@@ -496,7 +513,7 @@ class TestRunCommand:
 
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps({"seed": 7, "normalizer": "identity"}))
+        config_file.write_text(json.dumps({"seed": 7, "normalizer": "identity"}), encoding="utf-8")
         out_dir = tmp_path / "out"
         code = main(
             [
@@ -509,7 +526,7 @@ class TestRunCommand:
             ]
         )
         assert code == EXIT_OK
-        report = json.loads((out_dir / "report.json").read_text())
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["config"]["seed"] == 9
         assert report["config"]["normalizer"] == "identity"
         assert report["metrics"]["err"] == 0.0  # identity = leave-as-is baseline
@@ -517,7 +534,7 @@ class TestRunCommand:
     def test_pipeline_flags_reach_the_report_config(self, workspace, tmp_path):
         out_dir = tmp_path / "out"
         assert self.run_once(workspace, out_dir, extra=("--topk", "3")) == EXIT_OK
-        report = json.loads((out_dir / "report.json").read_text())
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["config"]["topk"] == 3
 
     def test_missing_eval_paths_is_config_error(self, workspace, capsys):
@@ -544,7 +561,7 @@ class TestRunCommand:
             ]
         )
         assert code == EXIT_OK
-        report = json.loads((out_dir / "report.json").read_text())
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["metrics"]["err"] == 1.0
 
     def test_short_predictions_fail_before_normalizing(self, workspace, tmp_path, monkeypatch):
@@ -590,7 +607,7 @@ class TestRunCommand:
     def test_invalid_pipeline_setting_is_config_error(self, workspace, tmp_path):
         # rejected before any stage runs, even when --pred bypasses normalization
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps({"max_edit_distance": 3}))
+        config_file.write_text(json.dumps({"max_edit_distance": 3}), encoding="utf-8")
         out_dir = tmp_path / "out"
         extra = ("--config", str(config_file), "--pred", str(workspace["gold"]))
         assert self.run_once(workspace, out_dir, extra=extra) == EXIT_CONFIG
@@ -603,17 +620,50 @@ class TestRunCommand:
     )
     def test_config_file_value_of_wrong_type_names_key(self, workspace, tmp_path, capsys, values):
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(values))
+        config_file.write_text(json.dumps(values), encoding="utf-8")
         out_dir = tmp_path / "out"
         assert self.run_once(workspace, out_dir, extra=("--config", str(config_file))) == EXIT_CONFIG
         assert repr(next(iter(values))) in capsys.readouterr().err
         assert not (out_dir / "report.json").exists()
 
 
+def test_every_output_file_is_written_with_lf(workspace, tmp_path, monkeypatch):
+    # without `newline`, `write_text` ends lines as the platform does
+    written, write_text = {}, pathlib.Path.write_text
+
+    def recording(path, data, encoding=None, errors=None, newline=None):
+        written[path.name] = newline
+        return write_text(path, data, encoding=encoding, errors=errors, newline=newline)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", recording)
+    out = tmp_path / "out"
+    out.mkdir()
+    dictionary, lexicon = f"--dict={workspace['dict']}", f"--lexicon={workspace['lexicon']}"
+    triple = [f"--orig={workspace['orig']}", f"--pred={workspace['gold']}",
+              f"--gold={workspace['gold']}"]
+    runs = [
+        ["synth", dictionary, f"--corpus={workspace['corpus']}", f"--out={out / 'pairs.jsonl'}",
+         f"--stats={out / 'stats.json'}"],
+        ["normalize", dictionary, lexicon, f"--in={workspace['orig']}", f"--out={out / 'o.txt'}"],
+        ["align", *triple, f"--dump={out / 'dump.tsv'}"],
+        ["eval", *triple, f"--report={out / 'eval.json'}"],
+        ["checklist", "--normalizer", "identity", f"--report={out / 'suite.txt'}"],
+        ["run", "--normalizer", "identity", f"--eval-orig={workspace['orig']}",
+         f"--eval-gold={workspace['gold']}", f"--out-dir={out / 'run'}"],
+    ]
+    for argv in runs:
+        assert main(argv) == EXIT_OK, argv
+    assert written == dict.fromkeys(
+        ["stats.json", "o.txt", "dump.tsv", "eval.json", "suite.txt", "predictions.txt",
+         "report.json", "suite_report.txt"],
+        "\n",
+    )
+
+
 class TestConfig:
     def test_unknown_file_key_rejected(self, tmp_path):
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps({"sede": 1}))
+        config_file.write_text(json.dumps({"sede": 1}), encoding="utf-8")
         with pytest.raises(ConfigError, match="sede"):
             build_config({}, config_file=config_file)
 
@@ -678,7 +728,7 @@ class TestConfig:
 
     def test_flag_beats_file(self, tmp_path):
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps({"seed": 5}))
+        config_file.write_text(json.dumps({"seed": 5}), encoding="utf-8")
         assert build_config({"seed": 11}, config_file=config_file).seed == 11
         assert build_config({"seed": None}, config_file=config_file).seed == 5
 
@@ -714,8 +764,8 @@ class TestConfig:
         synth = ["synth", "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "p.jsonl")]
         # json.loads reads NaN and -Infinity
         nan_config, inf_config = tmp_path / "nan.json", tmp_path / "inf.json"
-        nan_config.write_text('{"weights": [NaN, 1, 1, 1]}')
-        inf_config.write_text('{"weights": [1, 1, -Infinity, 1]}')
+        nan_config.write_text('{"weights": [NaN, 1, 1, 1]}', encoding="utf-8")
+        inf_config.write_text('{"weights": [1, 1, -Infinity, 1]}', encoding="utf-8")
         for argv, key in (
             (normalize + inputs + ["--topk", "-1"], "topk"),
             (normalize + inputs + ["--ngram-n", "0"], "ngram_n"),

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import PresetDraws
 from luxnorm.cli import EXIT_OK, main
-from luxnorm.corrupt import corrupt_sentence
+from luxnorm.corrupt import corrupt_sentence, sentence_rng
 from luxnorm.dictionary import (
     ReverseIndex,
     VariantDictionary,
@@ -12,6 +12,7 @@ from luxnorm.dictionary import (
     load_dictionary,
 )
 from luxnorm.errors import DictionaryLookupError, ParseError
+from luxnorm.normalize import Lexicon, Pipeline
 
 
 def write_dict(tmp_path, text: str):
@@ -56,6 +57,31 @@ class TestLoadDictionary:
     def test_comments_ignored(self, tmp_path):
         dictionary = load_dictionary(write_dict(tmp_path, "# header\na\tb\t1\n"))
         assert "a" in dictionary
+
+    def test_clitic_entry_is_filed_under_its_cores(self, tmp_path):
+        # synth and the variant route both look up a token's core
+        path = write_dict(tmp_path, "d'Haus\td'Hauss\t5\ngutt\tgud\t5\n")
+        dictionary = load_dictionary(path)
+        assert dictionary.variants("Haus") == {"Hauss": 5}
+        for index in range(5):
+            pair = corrupt_sentence("d'Haus ass gutt.", dictionary, sentence_rng(1, index))
+            assert pair.source == "d'Hauss ass gud."
+        lexicon = Lexicon({"Haus": 3, "ass": 9, "gutt": 4})
+        pipeline = Pipeline(build_reverse_index(dictionary), lexicon)
+        assert pipeline.candidates("Hauss")["Haus"][0] == 1.0
+
+    def test_clitic_entry_sums_with_its_cores_entry(self, tmp_path):
+        dictionary = load_dictionary(write_dict(tmp_path, "d'Haus\td'Hauss\t2\nHaus\tHauss\t3\n"))
+        assert list(dictionary.lemmas()) == ["Haus"]
+        assert dictionary.variants("Haus") == {"Hauss": 5}
+
+    @pytest.mark.parametrize("lemma", ["d'Auto", "d’Auto"])
+    def test_one_sided_clitic_entry_stays_as_written(self, tmp_path, lemma):
+        # real variation data: the variant dropped the apostrophe
+        dictionary = load_dictionary(write_dict(tmp_path, f"{lemma}\tdAuto\t2\n"))
+        assert dictionary.variants(lemma) == {"dAuto": 2}
+        pipeline = Pipeline(build_reverse_index(dictionary), Lexicon({"ass": 1}))
+        assert pipeline.normalize_lines(["dAuto ass."]) == [f"{lemma} ass."]
 
     @pytest.mark.parametrize(
         "content, fragment",

@@ -113,6 +113,11 @@ class TestLexicon:
         assert "d'Haus" not in lexicon
         assert lexicon.relative_frequency_folded("haus") == 1.0
 
+    def test_clitic_is_split_off_once(self):
+        # as `split_clitic` does for a token: d'l'x has the core l'x
+        lexicon = Lexicon({"l'x": 2, "d'l'x": 3, "x": 1})
+        assert {word: lexicon.count(word) for word in lexicon} == {"l'x": 3, "x": 3}
+
 
 # letters of LUX_ALPHABET plus characters that may only be deleted or moved
 EDIT_CHARS = "aäbA-2'"
